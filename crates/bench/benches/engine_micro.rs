@@ -11,8 +11,8 @@ use trix_core::{
 };
 use trix_obs::{DesSkew, PodSketch, StreamingSkew};
 use trix_sim::{
-    run_dataflow, run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends,
-    Environment, EventQueue, NullObserver, Rng, StaticEnvironment,
+    run_dataflow, run_dataflow_observed, run_dataflow_parallel, CorrectSends, Environment,
+    EventQueue, NullObserver, Rng, StaticEnvironment,
 };
 use trix_time::{Duration, LocalTime, Time};
 use trix_topology::{BaseGraph, LayeredGraph};
@@ -317,18 +317,14 @@ fn bench_sketch_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The intra-scenario parallel dataflow engines vs the serial streaming
+/// The intra-scenario parallel dataflow engine vs the serial streaming
 /// driver, on an `exp_scale`-shaped workload (square grid, streaming
-/// skew monitor, no trace): `serial` is `run_dataflow_observed`,
+/// skew monitor, no trace): `serial` is `run_dataflow_observed` and
 /// `frontier_N` is `run_dataflow_parallel` (the barrier-free frontier
-/// scheduler) with `N` fixed-chunk workers, and `barrier_N` is the
-/// superseded two-`Barrier`-per-layer baseline (`run_dataflow_barrier`)
-/// at the same worker counts. Outputs are bit-identical by construction
-/// (pinned by `crates/sim/tests/prop.rs`); only wall time may differ.
-/// On single-core hosts the threaded rows measure each engine's
-/// synchronization overhead (condvar publications vs 2·layers·pulses
-/// barrier rounds) rather than speedup — README §Parallel execution
-/// engine records both readings.
+/// scheduler) with `N` fixed-chunk workers. Outputs are bit-identical
+/// by construction (pinned by `crates/sim/tests/prop.rs`); only wall
+/// time may differ. On single-core hosts the threaded rows measure the
+/// engine's synchronization overhead rather than speedup.
 fn bench_dataflow_parallel(c: &mut Criterion) {
     let p = params();
     let width = 192;
@@ -401,23 +397,6 @@ fn bench_dataflow_parallel(c: &mut Criterion) {
             b.iter(|| {
                 let mut skew = StreamingSkew::new(&g);
                 run_dataflow_parallel(
-                    &g,
-                    &env,
-                    &layer0,
-                    &rule,
-                    &CorrectSends,
-                    pulses,
-                    threads,
-                    &mut skew,
-                );
-                skew.finish();
-                black_box(skew.full_local_skew())
-            })
-        });
-        group.bench_function(&format!("barrier_{threads}"), |b| {
-            b.iter(|| {
-                let mut skew = StreamingSkew::new(&g);
-                run_dataflow_barrier(
                     &g,
                     &env,
                     &layer0,

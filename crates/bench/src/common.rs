@@ -6,10 +6,7 @@ use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
 use trix_obs::{SkewStats, StreamingSkew};
 use trix_runner::SkewSummary;
-use trix_sim::{
-    run_dataflow, run_dataflow_observed, run_dataflow_parallel, Observer, PulseTrace, Rng,
-    SendModel, StaticEnvironment,
-};
+use trix_sim::{run_dataflow_parallel, Observer, Rng, SendModel, StaticEnvironment};
 use trix_time::Duration;
 use trix_topology::{BaseGraph, LayeredGraph};
 
@@ -34,114 +31,67 @@ pub fn grid(width: usize, layers: usize) -> LayeredGraph {
     LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), layers)
 }
 
-/// Runs Gradient TRIX on `g` with a random in-model environment and the
-/// Appendix-A layer-0 line, under the given send model.
-///
-/// Returns the trace together with the environment (so condition oracles
-/// can replay decisions).
-pub fn run_gradient_trix(
-    g: &LayeredGraph,
-    params: &Params,
-    rule: &GradientTrixRule,
-    sends: &impl SendModel,
-    pulses: usize,
-    seed: u64,
-) -> (PulseTrace, StaticEnvironment) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
-    let trace = run_dataflow(g, &env, &layer0, rule, sends, pulses);
-    (trace, env)
+/// Where a run's layer-0 pulses come from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layer0Kind {
+    /// The Appendix-A line ([`Layer0Line::random_for_line`]). Its hop
+    /// chain `v−1 → v` is only meaningful on `line_with_replicated_ends`,
+    /// so every grid experiment uses it.
+    Line,
+    /// The BFS-forest source ([`Layer0Line::random_for_graph`]) for an
+    /// arbitrary connected base graph: `exp_topology` and the torus and
+    /// supernode legs of `exp_modes` and `exp_churn`. It draws
+    /// differently from [`Layer0Kind::Line`] even on a line graph (the
+    /// forest roots at node 0), so the two are not interchangeable.
+    Forest,
 }
 
-/// Runs the same workload as [`run_gradient_trix`] — identical seed
-/// derivation, environment, and layer-0 line — but **streams** every
-/// pulse emission to `obs` instead of materializing a trace: peak memory
-/// is `O(width)` driver state plus whatever the observer retains
-/// (`O(nodes)` for `trix_obs::StreamingSkew`).
+/// The random in-model environment a run with `seed` draws: delays and
+/// clocks from `Rng::seed_from(seed).fork(1)`.
+pub fn random_env(g: &LayeredGraph, params: &Params, seed: u64) -> StaticEnvironment {
+    let mut rng = Rng::seed_from(seed).fork(1);
+    StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut rng)
+}
+
+/// Runs Gradient TRIX on `g` under `sends` and streams every pulse
+/// emission to `obs`, which it returns.
 ///
-/// `sim_threads` shards each layer's width across that many dataflow
-/// workers (`trix_sim::run_dataflow_parallel`; `1` = the serial engine,
-/// `0` = one worker per CPU). The emission stream — and therefore every
-/// statistic any observer computes — is bit-identical for every value.
-#[allow(clippy::too_many_arguments)] // mirrors the engine signature + the thread knob
-pub fn run_gradient_trix_streaming(
+/// Seeds derive from `seed`: the environment is [`random_env`] unless
+/// `env` supplies one (adversarial setups), and layer 0 is drawn from
+/// `fork(2)` by the `layer0` source. Pass a `PulseTrace` for a full
+/// trace, or a streaming observer (by `&mut`) for `O(width)` driver
+/// state. `sim_threads` shards each layer across that many frontier
+/// workers (`trix_sim::run_dataflow_parallel`: `1` runs the serial
+/// driver, `0` one worker per CPU); the emission stream is bit-identical
+/// for every value.
+#[allow(clippy::too_many_arguments)] // the engine inputs + seed, sources and the thread knob
+pub fn run_trix<O: Observer>(
     g: &LayeredGraph,
-    params: &Params,
     rule: &GradientTrixRule,
     sends: &(impl SendModel + Sync),
     pulses: usize,
     seed: u64,
+    layer0: Layer0Kind,
+    env: Option<&StaticEnvironment>,
     sim_threads: usize,
-    obs: &mut impl Observer,
-) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
-    if sim_threads == 1 {
-        run_dataflow_observed(g, &env, &layer0, rule, sends, pulses, obs);
-    } else {
-        run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
-    }
-}
-
-/// Runs Gradient TRIX on an **arbitrary connected base graph**: identical
-/// seed derivation to [`run_gradient_trix`] (env from `fork(1)`, layer 0
-/// from `fork(2)`), but layer 0 comes from the BFS-forest source
-/// ([`Layer0Line::random_for_graph`]) instead of the Appendix-A line —
-/// the line's hop chain `v−1 → v` is only meaningful on
-/// `line_with_replicated_ends`. The two sources draw differently even on
-/// line graphs (the forest roots at node 0), so the grid experiments
-/// keep [`run_gradient_trix`] and their pinned fingerprints; this is the
-/// entry point for the topology-family sweep (`exp_topology`).
-pub fn run_gradient_trix_graph(
-    g: &LayeredGraph,
-    params: &Params,
-    rule: &GradientTrixRule,
-    sends: &impl SendModel,
-    pulses: usize,
-    seed: u64,
-) -> (PulseTrace, StaticEnvironment) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_graph(params, g.base(), &mut layer0_rng);
-    let trace = run_dataflow(g, &env, &layer0, rule, sends, pulses);
-    (trace, env)
-}
-
-/// Streaming twin of [`run_gradient_trix_graph`]: the graph-generic
-/// workload of [`run_gradient_trix_streaming`] — same seed derivation,
-/// BFS-forest layer 0, `O(width)` driver state — with `sim_threads`
-/// sharding exactly as there (`1` = serial engine, otherwise the
-/// parallel frontier driver; the emission stream is bit-identical for
-/// every value).
-#[allow(clippy::too_many_arguments)] // mirrors the engine signature + the thread knob
-pub fn run_gradient_trix_streaming_graph(
-    g: &LayeredGraph,
-    params: &Params,
-    rule: &GradientTrixRule,
-    sends: &(impl SendModel + Sync),
-    pulses: usize,
-    seed: u64,
-    sim_threads: usize,
-    obs: &mut impl Observer,
-) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_graph(params, g.base(), &mut layer0_rng);
-    if sim_threads == 1 {
-        run_dataflow_observed(g, &env, &layer0, rule, sends, pulses, obs);
-    } else {
-        run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
-    }
+    mut obs: O,
+) -> O {
+    let params = rule.params();
+    let drawn;
+    let env = match env {
+        Some(env) => env,
+        None => {
+            drawn = random_env(g, params, seed);
+            &drawn
+        }
+    };
+    let mut rng = Rng::seed_from(seed).fork(2);
+    let layer0 = match layer0 {
+        Layer0Kind::Line => Layer0Line::random_for_line(params, g.width(), &mut rng),
+        Layer0Kind::Forest => Layer0Line::random_for_graph(params, g.base(), &mut rng),
+    };
+    run_dataflow_parallel(g, env, &layer0, rule, sends, pulses, sim_threads, &mut obs);
+    obs
 }
 
 /// One grid of a streaming (`--no-trace`) twin sweep.
@@ -266,15 +216,16 @@ pub fn streaming_skew_result_observed(
         .iter()
         .map(|&seed| {
             let mut skew = streaming_monitor(&g, &p);
-            run_gradient_trix_streaming(
+            run_trix(
                 &g,
-                &p,
                 &rule,
                 &trix_sim::CorrectSends,
                 grid_spec.pulses,
                 seed,
+                Layer0Kind::Line,
+                None,
                 sim_threads,
-                &mut (&mut skew, &mut *extra),
+                (&mut skew, &mut *extra),
             );
             skew.finish();
             skew.snapshot()
@@ -362,21 +313,6 @@ pub fn streaming_scenarios(
         .collect()
 }
 
-/// Runs Gradient TRIX under an explicit environment (adversarial setups).
-pub fn run_gradient_trix_with_env(
-    g: &LayeredGraph,
-    params: &Params,
-    rule: &GradientTrixRule,
-    env: &StaticEnvironment,
-    sends: &impl SendModel,
-    pulses: usize,
-    seed: u64,
-) -> PulseTrace {
-    let mut layer0_rng = Rng::seed_from(seed).fork(2);
-    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
-    run_dataflow(g, env, &layer0, rule, sends, pulses)
-}
-
 /// The adversarial "split" delay assignment (Figure 1 left): all in-edges
 /// of columns `v < split` get `d − u`, the rest `d`; perfect clocks.
 ///
@@ -420,7 +356,7 @@ impl TapSetFastHalf for StaticEnvironment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trix_sim::{CorrectSends, Environment};
+    use trix_sim::{CorrectSends, Environment, PulseTrace};
 
     #[test]
     fn standard_params_support_large_diameters() {
@@ -428,15 +364,45 @@ mod tests {
         assert!(p.supports_skew(p.fault_free_local_skew_bound(1 << 12)));
     }
 
-    #[test]
-    fn run_is_deterministic() {
+    /// Asserts that [`run_trix`] with `layer0` on `sim_threads` drivers
+    /// records the same trace, bit for bit, as the serial driver.
+    fn assert_matches_serial(layer0: Layer0Kind, sim_threads: usize) {
         let p = standard_params();
         let g = square_grid(8);
         let rule = GradientTrixRule::new(p);
-        let (a, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, 42);
-        let (b, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, 42);
-        for n in g.nodes() {
-            assert_eq!(a.time(2, n), b.time(2, n));
+        let run = |threads| {
+            let trace = PulseTrace::new(&g, 3);
+            run_trix(
+                &g,
+                &rule,
+                &CorrectSends,
+                3,
+                42,
+                layer0,
+                None,
+                threads,
+                trace,
+            )
+        };
+        let (serial, other) = (run(1), run(sim_threads));
+        for k in 0..3 {
+            for n in g.nodes() {
+                assert!(serial.time(k, n).is_some());
+                assert_eq!(
+                    serial.time(k, n),
+                    other.time(k, n),
+                    "{layer0:?} k={k} {n:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_is_deterministic() {
+        for layer0 in [Layer0Kind::Line, Layer0Kind::Forest] {
+            for sim_threads in [1, 2] {
+                assert_matches_serial(layer0, sim_threads);
+            }
         }
     }
 

@@ -30,7 +30,10 @@
 //! `BENCH_exp_fault_sweep.json` tracks the adversary axis. CI pins the
 //! file byte-identical across `--threads` and `--sim-threads` values.
 
-use crate::common::{grid, merge_snapshots, standard_params, streaming_monitor};
+use crate::common::{
+    grid, merge_snapshots, run_trix, standard_params, streaming_monitor,
+    Layer0Kind::{Forest, Line},
+};
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
@@ -255,28 +258,21 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
             absent_total += campaign.absent_count(&g, k);
         }
         let mut skew = streaming_monitor(&g, &p);
-        match point.topo {
-            TopoClass::Grid => crate::common::run_gradient_trix_streaming(
-                &g,
-                &p,
-                &rule,
-                &campaign,
-                point.pulses,
-                seed,
-                sim_threads,
-                &mut skew,
-            ),
-            TopoClass::Torus => crate::common::run_gradient_trix_streaming_graph(
-                &g,
-                &p,
-                &rule,
-                &campaign,
-                point.pulses,
-                seed,
-                sim_threads,
-                &mut skew,
-            ),
-        }
+        let layer0 = match point.topo {
+            TopoClass::Grid => Line,
+            TopoClass::Torus => Forest,
+        };
+        run_trix(
+            &g,
+            &rule,
+            &campaign,
+            point.pulses,
+            seed,
+            layer0,
+            None,
+            sim_threads,
+            &mut skew,
+        );
         skew.finish();
         snaps.push(skew.snapshot());
     }
@@ -443,6 +439,7 @@ pub fn point_from_params(params: &[(String, String)]) -> Option<SweepPoint> {
 mod tests {
     use super::*;
     use trix_analysis::{inter_layer_skew, intra_layer_skew};
+    use trix_sim::PulseTrace;
 
     #[test]
     fn control_point_holds_the_exact_thm_1_1_bound() {
@@ -526,20 +523,31 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let campaign = campaign_for(&g, &point, seed);
         let mut skew = streaming_monitor(&g, &p);
-        crate::common::run_gradient_trix_streaming(
+        run_trix(
             &g,
-            &p,
             &rule,
             &campaign,
             point.pulses,
             seed,
+            Line,
+            None,
             1,
             &mut skew,
         );
         skew.finish();
         let streamed = skew.snapshot();
-        let (trace, _) =
-            crate::common::run_gradient_trix(&g, &p, &rule, &campaign, point.pulses, seed);
+        let trace = PulseTrace::new(&g, point.pulses);
+        let trace = run_trix(
+            &g,
+            &rule,
+            &campaign,
+            point.pulses,
+            seed,
+            Line,
+            None,
+            1,
+            trace,
+        );
         let mut max_intra = 0.0f64;
         let mut max_inter = 0.0f64;
         for k in 0..point.pulses {
@@ -614,13 +622,14 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let campaign = campaign_for(&g, &point, 7);
         let mut seen = Seen(HashSet::new());
-        crate::common::run_gradient_trix_streaming(
+        run_trix(
             &g,
-            &p,
             &rule,
             &campaign,
             point.pulses,
             7,
+            Line,
+            None,
             1,
             &mut seen,
         );

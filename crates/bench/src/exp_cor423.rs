@@ -6,12 +6,12 @@
 //! (Lemma 4.25's fixed point), which telescopes into the `4κ(2+log₂ D)`
 //! local-skew bound via Observation 4.2.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, global_skew, psi, theory, Table};
 use trix_core::GradientTrixRule;
-use trix_sim::CorrectSends;
+use trix_sim::{CorrectSends, PulseTrace};
 
 /// Runs the potential-trajectory experiment on one grid width.
 pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
@@ -30,7 +30,8 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
     let mut worst_global = 0f64;
     let mut worst_psi = vec![f64::MIN; (s_max + 1) as usize];
     for &seed in seeds {
-        let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, pulses, seed);
+        let trace = PulseTrace::new(&g, pulses);
+        let trace = run_trix(&g, &rule, &CorrectSends, pulses, seed, Line, None, 1, trace);
         for layer in 0..g.layer_count() {
             if let Some(gs) = global_skew(&g, &trace, k, layer) {
                 worst_global = worst_global.max(gs.as_f64());
@@ -101,7 +102,8 @@ mod tests {
         let g = square_grid(16);
         let bound = theory::cor_4_24_global_bound(&p, g.base().diameter());
         for seed in 0..3 {
-            let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, seed);
+            let trace = PulseTrace::new(&g, 3);
+            let trace = run_trix(&g, &rule, &CorrectSends, 3, seed, Line, None, 1, trace);
             for layer in 0..g.layer_count() {
                 let gs = global_skew(&g, &trace, 2, layer).unwrap();
                 assert!(gs <= bound, "seed {seed} layer {layer}: {gs} > {bound}");
@@ -115,7 +117,8 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let g = square_grid(16);
         let bound = theory::cor_4_23_psi1_bound(&p, g.base().diameter());
-        let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, 9);
+        let trace = PulseTrace::new(&g, 3);
+        let trace = run_trix(&g, &rule, &CorrectSends, 3, 9, Line, None, 1, trace);
         for layer in 0..g.layer_count() {
             let v = psi(&g, &trace, &p, 2, layer, 1).unwrap();
             assert!(v <= bound, "layer {layer}: {v} > {bound}");
@@ -127,7 +130,8 @@ mod tests {
         let p = standard_params();
         let rule = GradientTrixRule::new(p);
         let g = square_grid(12);
-        let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 2, 4);
+        let trace = PulseTrace::new(&g, 2);
+        let trace = run_trix(&g, &rule, &CorrectSends, 2, 4, Line, None, 1, trace);
         for layer in 0..g.layer_count() {
             assert!(observation_4_2_holds(&g, &trace, &p, 1, layer, 6));
         }

@@ -30,7 +30,9 @@
 //! the size axis. CI pins the file byte-identical across `--threads`
 //! and `--sim-threads` values.
 
-use crate::common::{grid, merge_snapshots, standard_params, streaming_monitor};
+use crate::common::{
+    grid, merge_snapshots, run_trix, standard_params, streaming_monitor, Layer0Kind::Line,
+};
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
@@ -321,15 +323,16 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
             p.kappa().as_f64() / 2.0,
             trix_obs::StreamingSkew::DEFAULT_HIST_BINS,
         );
-        crate::common::run_gradient_trix_streaming(
+        run_trix(
             &g,
-            &p,
             &rule,
             &campaign,
             point.pulses,
             seed,
+            Line,
+            None,
             sim_threads,
-            &mut (&mut skew, &mut classes),
+            (&mut skew, &mut classes),
         );
         skew.finish();
         classes.finish();
@@ -496,7 +499,7 @@ pub fn point_from_params(params: &[(String, String)]) -> Option<SweepPoint> {
 mod tests {
     use super::*;
     use trix_analysis::{global_skew, inter_layer_skew, intra_layer_skew};
-    use trix_sim::SendModel;
+    use trix_sim::{PulseTrace, SendModel};
 
     #[test]
     fn control_point_holds_the_exact_thm_1_1_bound() {
@@ -576,21 +579,32 @@ mod tests {
         assert!(campaign.fault_count() > 0, "want a non-trivial campaign");
         // Streaming run.
         let mut skew = streaming_monitor(&g, &p);
-        crate::common::run_gradient_trix_streaming(
+        run_trix(
             &g,
-            &p,
             &rule,
             &campaign,
             point.pulses,
             seed,
+            Line,
+            None,
             1,
             &mut skew,
         );
         skew.finish();
         let streamed = skew.snapshot();
         // Full-trace replay with the reconstructed campaign.
-        let (trace, _) =
-            crate::common::run_gradient_trix(&g, &p, &rule, &campaign, point.pulses, seed);
+        let trace = PulseTrace::new(&g, point.pulses);
+        let trace = run_trix(
+            &g,
+            &rule,
+            &campaign,
+            point.pulses,
+            seed,
+            Line,
+            None,
+            1,
+            trace,
+        );
         let mut max_intra = 0.0f64;
         let mut max_inter = 0.0f64;
         for k in 0..point.pulses {

@@ -7,12 +7,12 @@
 //! the oracle recomputes each node's correction from the trace and checks
 //! the three conditions at every level `s`.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{random_env, run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, Summary, Table};
 use trix_core::{check_gcs_conditions, reconstruct_correction, GradientTrixRule};
-use trix_sim::CorrectSends;
+use trix_sim::{CorrectSends, PulseTrace};
 
 /// Runs the condition oracle over `seeds` runs of a `width`-wide grid.
 pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
@@ -40,7 +40,19 @@ pub fn run_checked(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult
         ],
     );
     for &seed in seeds {
-        let (trace, env) = run_gradient_trix(&g, &p, &rule, &CorrectSends, pulses, seed);
+        let env = random_env(&g, &p, seed);
+        let trace = PulseTrace::new(&g, pulses);
+        let trace = run_trix(
+            &g,
+            &rule,
+            &CorrectSends,
+            pulses,
+            seed,
+            Line,
+            Some(&env),
+            1,
+            trace,
+        );
         let report = check_gcs_conditions(&g, &env, &trace, &rule, 0..pulses);
         let (mut sc, mut fc, mut jc) = (0usize, 0usize, 0usize);
         for v in &report.violations {
@@ -125,7 +137,19 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let g = square_grid(10);
         for seed in 0..4 {
-            let (trace, env) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, seed);
+            let env = random_env(&g, &p, seed);
+            let trace = PulseTrace::new(&g, 3);
+            let trace = run_trix(
+                &g,
+                &rule,
+                &CorrectSends,
+                3,
+                seed,
+                Line,
+                Some(&env),
+                1,
+                trace,
+            );
             let report = check_gcs_conditions(&g, &env, &trace, &rule, 0..3);
             assert!(report.checked > 100);
             assert!(

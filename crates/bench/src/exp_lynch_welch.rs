@@ -7,13 +7,13 @@
 //! Reported: skew per round (halving contraction to the `u`-scale floor)
 //! and the degree/skew trade-off against Gradient TRIX.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_baselines::{run_lynch_welch, LynchWelchConfig};
 use trix_core::GradientTrixRule;
-use trix_sim::{CorrectSends, Rng};
+use trix_sim::{CorrectSends, PulseTrace, Rng};
 
 /// Runs Lynch–Welch convergence and the degree/skew comparison.
 pub fn run(n: usize, f: usize, rounds: usize, seeds: &[u64]) -> Table {
@@ -55,7 +55,8 @@ pub fn run(n: usize, f: usize, rounds: usize, seeds: &[u64]) -> Table {
     // Context row: Gradient TRIX at degree 3 on a real grid.
     let g = square_grid(16);
     let rule = GradientTrixRule::new(p);
-    let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, 1);
+    let trace = PulseTrace::new(&g, 3);
+    let trace = run_trix(&g, &rule, &CorrectSends, 3, 1, Line, None, 1, trace);
     let gt = max_intra_layer_skew(&g, &trace, 0..3);
     table.row_values(&[
         "—".into(),

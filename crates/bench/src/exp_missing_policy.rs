@@ -6,12 +6,13 @@
 //! faults: measured skew and Corollary 4.29 interval violations at the
 //! paper's `2κ` slack.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_core::{check_pulse_interval, CorrectionConfig, GradientTrixRule, MissingNeighborPolicy};
 use trix_faults::{FaultBehavior, FaultySendModel};
+use trix_sim::PulseTrace;
 
 /// Runs the policy ablation with `f` silent faults.
 pub fn run(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Table {
@@ -55,7 +56,8 @@ pub fn run_checked(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Scen
         let mut viol2 = 0usize;
         let mut viol4 = 0usize;
         for &seed in seeds {
-            let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, pulses, seed);
+            let trace = PulseTrace::new(&g, pulses);
+            let trace = run_trix(&g, &rule, &model, pulses, seed, Line, None, 1, trace);
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
             viol2 += check_pulse_interval(&g, &trace, &p, 0..pulses, 2.0).len();
             viol4 += check_pulse_interval(&g, &trace, &p, 0..pulses, 4.0).len();

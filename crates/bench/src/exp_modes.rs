@@ -26,8 +26,8 @@
 //! dynamics, not just summary stats.
 
 use crate::common::{
-    grid, merge_snapshots, run_gradient_trix_streaming, run_gradient_trix_streaming_graph,
-    standard_params, streaming_monitor,
+    grid, merge_snapshots, run_trix, standard_params, streaming_monitor,
+    Layer0Kind::{Forest, Line},
 };
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::{exp_fault_sweep, exp_topology, Scale};
@@ -158,40 +158,35 @@ fn drive(
 ) {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
-    match point.workload {
-        Workload::Grid => run_gradient_trix_streaming(
+    let layer0 = match point.workload {
+        Workload::Grid | Workload::Wave => Line,
+        Workload::Torus | Workload::Supernode => Forest,
+    };
+    if point.workload == Workload::Wave {
+        let campaign = exp_fault_sweep::campaign_for(g, &point.wave_point(), seed);
+        run_trix(
             g,
-            &p,
+            &rule,
+            &campaign,
+            point.pulses,
+            seed,
+            layer0,
+            None,
+            sim_threads,
+            obs,
+        );
+    } else {
+        run_trix(
+            g,
             &rule,
             &trix_sim::CorrectSends,
             point.pulses,
             seed,
+            layer0,
+            None,
             sim_threads,
             obs,
-        ),
-        Workload::Wave => {
-            let campaign = exp_fault_sweep::campaign_for(g, &point.wave_point(), seed);
-            run_gradient_trix_streaming(
-                g,
-                &p,
-                &rule,
-                &campaign,
-                point.pulses,
-                seed,
-                sim_threads,
-                obs,
-            );
-        }
-        Workload::Torus | Workload::Supernode => run_gradient_trix_streaming_graph(
-            g,
-            &p,
-            &rule,
-            &trix_sim::CorrectSends,
-            point.pulses,
-            seed,
-            sim_threads,
-            obs,
-        ),
+        );
     }
 }
 

@@ -11,7 +11,7 @@
 //!   asymptotically flattest, and the only scheme with both optimal
 //!   degree and logarithmic skew.
 
-use crate::common::{split_delay_env, square_grid, standard_params};
+use crate::common::{run_trix, split_delay_env, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use std::collections::HashSet;
@@ -19,7 +19,7 @@ use trix_analysis::{fmt_f64, intra_layer_skew, theory, Table};
 use trix_baselines::{run_hex_pulse, HexEnvironment, NaiveTrixRule};
 use trix_core::GradientTrixRule;
 use trix_faults::{FaultBehavior, FaultySendModel};
-use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng};
+use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0, PulseTrace, Rng};
 use trix_time::Time;
 use trix_topology::HexGrid;
 
@@ -79,8 +79,18 @@ pub fn run(widths: &[usize]) -> Table {
             g.node(g.width() / 2, last / 2),
             FaultBehavior::Silent,
         )]);
-        let (gt_fault_trace, _) =
-            crate::common::run_gradient_trix(&g, &p, &rule, &fault, 2, w as u64);
+        let gt_fault_trace = PulseTrace::new(&g, 2);
+        let gt_fault_trace = run_trix(
+            &g,
+            &rule,
+            &fault,
+            2,
+            w as u64,
+            Line,
+            None,
+            1,
+            gt_fault_trace,
+        );
         let gt_fault = (0..g.layer_count())
             .filter_map(|l| intra_layer_skew(&g, &gt_fault_trace, 1, l))
             .map(|d| d.as_f64())
@@ -170,7 +180,8 @@ mod tests {
             g.node(g.width() / 2, g.layer_count() / 2),
             FaultBehavior::Silent,
         )]);
-        let (trace, _) = crate::common::run_gradient_trix(&g, &p, &rule, &fault, 2, 3);
+        let trace = PulseTrace::new(&g, 2);
+        let trace = run_trix(&g, &rule, &fault, 2, 3, Line, None, 1, trace);
         let gt_fault = (0..g.layer_count())
             .filter_map(|l| intra_layer_skew(&g, &trace, 1, l))
             .map(|d| d.as_f64())

@@ -7,14 +7,12 @@
 //! split-delay environment. Reports the worst intra-layer skew across all
 //! layers and pulses against the bound.
 
-use crate::common::{
-    run_gradient_trix, run_gradient_trix_with_env, split_delay_env, square_grid, standard_params,
-};
+use crate::common::{run_trix, split_delay_env, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
-use trix_sim::CorrectSends;
+use trix_sim::{CorrectSends, PulseTrace};
 
 /// Runs the Theorem 1.1 experiment over the given grid widths.
 pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> Table {
@@ -37,12 +35,23 @@ pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> Table {
         let d = g.base().diameter();
         let mut worst = 0f64;
         for &seed in seeds {
-            let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, pulses, seed);
+            let trace = PulseTrace::new(&g, pulses);
+            let trace = run_trix(&g, &rule, &CorrectSends, pulses, seed, Line, None, 1, trace);
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
         }
         let adv_env = split_delay_env(&g, &p, g.width() / 2);
-        let adv_trace =
-            run_gradient_trix_with_env(&g, &p, &rule, &adv_env, &CorrectSends, pulses, 7);
+        let adv_trace = PulseTrace::new(&g, pulses);
+        let adv_trace = run_trix(
+            &g,
+            &rule,
+            &CorrectSends,
+            pulses,
+            7,
+            Line,
+            Some(&adv_env),
+            1,
+            adv_trace,
+        );
         let adv = max_intra_layer_skew(&g, &adv_trace, 0..pulses).as_f64();
         let bound = theory::thm_1_1_bound(&p, d).as_f64();
         table.row_values(&[
@@ -105,7 +114,8 @@ mod tests {
             let g = square_grid(w);
             let bound = theory::thm_1_1_bound(&p, g.base().diameter());
             for seed in 0..3 {
-                let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, 3, seed);
+                let trace = PulseTrace::new(&g, 3);
+                let trace = run_trix(&g, &rule, &CorrectSends, 3, seed, Line, None, 1, trace);
                 let skew = max_intra_layer_skew(&g, &trace, 0..3);
                 assert!(skew <= bound, "w={w} seed={seed}: {skew} > bound {bound}");
             }
@@ -118,7 +128,8 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let g = square_grid(16);
         let env = split_delay_env(&g, &p, g.width() / 2);
-        let trace = run_gradient_trix_with_env(&g, &p, &rule, &env, &CorrectSends, 3, 1);
+        let trace = PulseTrace::new(&g, 3);
+        let trace = run_trix(&g, &rule, &CorrectSends, 3, 1, Line, Some(&env), 1, trace);
         let skew = max_intra_layer_skew(&g, &trace, 0..3);
         assert!(skew <= theory::thm_1_1_bound(&p, g.base().diameter()));
     }

@@ -11,12 +11,13 @@
 //! `B_f = 4κ(2+log₂D)·5^f·Σ 5^{−j}` — the *shape* check is that growth is
 //! at most exponential with base ≤ 5 and the envelope is never exceeded.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
 use trix_faults::{clustered_column, FaultBehavior, FaultySendModel};
+use trix_sim::PulseTrace;
 use trix_time::Duration;
 
 /// Builds the worst-case fault model for `f` stacked faults.
@@ -58,7 +59,8 @@ pub fn run(width: usize, f_max: usize, pulses: usize, seeds: &[u64]) -> Table {
         let model = stacked_faults(&g, f, 20.0, p.kappa());
         let mut worst = 0f64;
         for &seed in seeds {
-            let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, pulses, seed);
+            let trace = PulseTrace::new(&g, pulses);
+            let trace = run_trix(&g, &rule, &model, pulses, seed, Line, None, 1, trace);
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
         }
         let envelope = theory::thm_1_2_envelope(&p, d, f as u32).as_f64();
@@ -114,7 +116,8 @@ mod tests {
         let d = g.base().diameter();
         for f in 0..=3usize {
             let model = stacked_faults(&g, f, 20.0, p.kappa());
-            let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, 2, 5);
+            let trace = PulseTrace::new(&g, 2);
+            let trace = run_trix(&g, &rule, &model, 2, 5, Line, None, 1, trace);
             let skew = max_intra_layer_skew(&g, &trace, 0..2);
             let envelope = theory::thm_1_2_envelope(&p, d, f as u32);
             assert!(
@@ -131,7 +134,8 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let g = square_grid(12);
         let model = stacked_faults(&g, 3, 20.0, p.kappa());
-        let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, 2, 5);
+        let trace = PulseTrace::new(&g, 2);
+        let trace = run_trix(&g, &rule, &model, 2, 5, Line, None, 1, trace);
         let violations = check_pulse_interval(&g, &trace, &p, 0..2, 2.0);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -143,8 +147,10 @@ mod tests {
         let g = square_grid(12);
         let clean = stacked_faults(&g, 0, 20.0, p.kappa());
         let faulty = stacked_faults(&g, 2, 20.0, p.kappa());
-        let (t0, _) = run_gradient_trix(&g, &p, &rule, &clean, 2, 5);
-        let (t2, _) = run_gradient_trix(&g, &p, &rule, &faulty, 2, 5);
+        let t0 = PulseTrace::new(&g, 2);
+        let t0 = run_trix(&g, &rule, &clean, 2, 5, Line, None, 1, t0);
+        let t2 = PulseTrace::new(&g, 2);
+        let t2 = run_trix(&g, &rule, &faulty, 2, 5, Line, None, 1, t2);
         let s0 = max_intra_layer_skew(&g, &t0, 0..2);
         let s2 = max_intra_layer_skew(&g, &t2, 0..2);
         assert!(s2 > s0, "faults must hurt: {s0} vs {s2}");

@@ -11,13 +11,13 @@
 //! measured skew (worst seed), the fault-free baseline, the `O(κ log D)`
 //! reference line, and the max distance-δ k-faulty value.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
 use trix_faults::{sample_one_local, FaultBehavior, FaultySendModel};
-use trix_sim::{CorrectSends, Rng};
+use trix_sim::{CorrectSends, PulseTrace, Rng};
 use trix_topology::max_k_faulty;
 
 /// Assigns rotating behaviors to sampled fault positions.
@@ -77,10 +77,12 @@ pub fn run(widths: &[usize], c: f64, pulses: usize, seeds: &[u64]) -> Table {
             }
             worst_k = worst_k.max(max_k_faulty(&g, delta, &is_faulty));
             let model = behavior_mix(positions, p.kappa());
-            let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, pulses, seed);
+            let trace = PulseTrace::new(&g, pulses);
+            let trace = run_trix(&g, &rule, &model, pulses, seed, Line, None, 1, trace);
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
         }
-        let (ff_trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, pulses, 1);
+        let ff_trace = PulseTrace::new(&g, pulses);
+        let ff_trace = run_trix(&g, &rule, &CorrectSends, pulses, 1, Line, None, 1, ff_trace);
         let fault_free = max_intra_layer_skew(&g, &ff_trace, 0..pulses).as_f64();
         table.row_values(&[
             w.to_string(),
@@ -149,7 +151,8 @@ mod tests {
                 let mut rng = Rng::seed_from(seed ^ 0xFA17);
                 let (positions, _) = sample_one_local(&g, prob, 1, &mut rng);
                 let model = behavior_mix(positions, p.kappa());
-                let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, 3, seed);
+                let trace = PulseTrace::new(&g, 3);
+                let trace = run_trix(&g, &rule, &model, 3, seed, Line, None, 1, trace);
                 let skew = max_intra_layer_skew(&g, &trace, 0..3);
                 // Shape check: within a constant factor (3x) of the
                 // fault-free bound, i.e. still O(κ log D), nowhere near

@@ -9,13 +9,13 @@
 //! `n^{-1/2}·u·log D` per pulse, and (iii) clock-speed variation up to
 //! `n^{-1/2}·(ϑ−1)·log D` per pulse.
 
-use crate::common::{run_gradient_trix, square_grid, standard_params};
+use crate::common::{run_trix, square_grid, standard_params, Layer0Kind::Line};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, full_local_skew, theory, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
 use trix_faults::{sample_one_local, FaultBehavior, FaultySendModel};
-use trix_sim::{run_dataflow, Rng, SequenceEnvironment, StaticEnvironment};
+use trix_sim::{run_dataflow, PulseTrace, Rng, SequenceEnvironment, StaticEnvironment};
 use trix_time::{AffineClock, Duration};
 use trix_topology::LayeredGraph;
 
@@ -125,7 +125,8 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
     for &seed in seeds {
         // Theorem 1.4: static faults, static environment.
         let model = static_faults(&g, prob, p.kappa(), seed);
-        let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, pulses, seed);
+        let trace = PulseTrace::new(&g, pulses);
+        let trace = run_trix(&g, &rule, &model, pulses, seed, Line, None, 1, trace);
         let skew = full_local_skew(&g, &trace, 1..pulses);
         table.row_values(&[
             "Thm 1.4 (static)".into(),
@@ -191,7 +192,8 @@ mod tests {
         let n = g.node_count() as f64;
         let model = static_faults(&g, 0.4 * n.powf(-0.55), p.kappa(), 3);
         assert!(model.all_static());
-        let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, 6, 3);
+        let trace = PulseTrace::new(&g, 6);
+        let trace = run_trix(&g, &rule, &model, 6, 3, Line, None, 1, trace);
         let skew = full_local_skew(&g, &trace, 1..6);
         let reference = theory::thm_1_1_bound(&p, g.base().diameter()) * 3.0;
         assert!(skew <= reference, "{skew} vs {reference}");

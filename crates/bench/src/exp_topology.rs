@@ -28,7 +28,7 @@
 //! [`layered`].
 
 use crate::common::{
-    merge_snapshots, run_gradient_trix_streaming_graph, standard_params, streaming_monitor,
+    merge_snapshots, run_trix, standard_params, streaming_monitor, Layer0Kind::Forest,
 };
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
@@ -164,13 +164,14 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
         .iter()
         .map(|&seed| {
             let mut skew = streaming_monitor(&g, &p);
-            run_gradient_trix_streaming_graph(
+            run_trix(
                 &g,
-                &p,
                 &rule,
                 &trix_sim::CorrectSends,
                 point.pulses,
                 seed,
+                Forest,
+                None,
                 sim_threads,
                 &mut skew,
             );

@@ -25,9 +25,7 @@
 //!   pulse-front matrix in `O(width × r)` memory, with a **certified**
 //!   Frobenius reconstruction-error bound and column-range `merge`; its
 //!   [`PodSnapshot`] (basis + spectrum + certificate) is the compressed
-//!   trace artifact benchmark records ship as schema v7.
-//! * [`FullTrace`] — the compatibility adapter reconstructing the classic
-//!   `PulseTrace`, so trace-based experiments ride the same driver.
+//!   trace artifact benchmark records ship (since schema v7).
 //! * [`FaultClassSkew`] — intra-layer skew partitioned by the
 //!   faulty/healthy frontier, the attribution monitor for fault
 //!   campaigns (`trix-faults`): how much skew lives next to the faults
@@ -36,10 +34,12 @@
 //! Observers compose with the tuple observer from `trix-sim` (e.g.
 //! `(StreamingSkew, TraceRing)`), and everything is deterministic: the
 //! sweep runner's bit-reproducibility across `--threads` extends to all
-//! streamed statistics. None of these monitors needs to be thread-safe:
-//! every dataflow engine — including the barrier-free frontier
-//! scheduler behind `trix_sim::run_dataflow_parallel` — flushes
-//! emissions on the calling thread in the serial `(k, layer, v)` order
+//! streamed statistics. A full trace needs no adapter here:
+//! `trix_sim::PulseTrace` implements [`Observer`] itself, so it composes
+//! in the same tuples. None of these monitors needs to be thread-safe:
+//! both dataflow drivers — the serial one and the frontier scheduler
+//! behind `trix_sim::run_dataflow_parallel` — flush emissions on the
+//! calling thread in the serial `(k, layer, v)` order
 //! (whole rows through [`Observer::on_pulse_row`], whose default unpacks
 //! them element-wise), so observers see one stream with a fixed order
 //! regardless of `--sim-threads`. The one deliberate exception is
@@ -116,7 +116,6 @@
 mod attributed;
 pub mod defs;
 mod des_monitor;
-mod full;
 mod pipeline;
 mod ring;
 mod sketch;
@@ -124,7 +123,6 @@ mod streaming;
 
 pub use attributed::{FaultClassSkew, FaultClassStats};
 pub use des_monitor::DesSkew;
-pub use full::FullTrace;
 pub use pipeline::PipelinedSketch;
 pub use ring::{TraceEvent, TraceRing};
 pub use sketch::{PodSketch, PodSnapshot};

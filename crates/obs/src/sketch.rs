@@ -48,7 +48,7 @@
 //!
 //! Both dataflow engines flush emissions on the calling thread in serial
 //! `(k, layer, v)` order, so a sketch observing a run is **byte-identical
-//! across the serial, barrier, and frontier engines for any
+//! across the serial and frontier engines for any
 //! `--sim-threads` value** — the same determinism leg every other
 //! observer lives under. Additionally, [`PodSketch::merge`] joins
 //! sketches of *adjacent column ranges* (built with

@@ -3,19 +3,17 @@
 //! environments, faults, and derived seeds.
 //!
 //! The batch side is recomputed here directly from the shared
-//! definitions in `trix_obs::defs` over a [`FullTrace`] recorded in the
+//! definitions in `trix_obs::defs` over a [`PulseTrace`] recorded in the
 //! *same run* (tuple observer), so the property isolates exactly the
 //! incremental front bookkeeping of [`StreamingSkew`]. The workspace-level
 //! `tests/streaming_equivalence.rs` additionally pins equality against
 //! `trix_analysis::skew` across the experiment suite.
 
 use proptest::prelude::*;
-use trix_obs::{
-    defs, DesSkew, FullTrace, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing,
-};
+use trix_obs::{defs, DesSkew, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing};
 use trix_sim::{
-    run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0,
-    PulseRule, PulseTrace, Rng, SendModel, StaticEnvironment,
+    run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0, PulseRule,
+    PulseTrace, Rng, SendModel, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
 use trix_topology::{BaseGraph, LayeredGraph, NodeId};
@@ -207,7 +205,7 @@ proptest! {
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
 
         // One run, two observers: the full trace and the streaming monitor.
-        let mut pair = (FullTrace::new(&g, pulses), StreamingSkew::new(&g));
+        let mut pair = (PulseTrace::new(&g, pulses), StreamingSkew::new(&g));
         if fault {
             run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut pair);
         } else {
@@ -216,7 +214,7 @@ proptest! {
         let (full, mut stream) = pair;
         stream.finish();
 
-        let batch = batch_fold(&g, full.trace(), pulses);
+        let batch = batch_fold(&g, &full, pulses);
         // Bit-identical folds — no tolerance.
         prop_assert_eq!(stream.max_intra_layer_skew(), batch.max_intra);
         prop_assert_eq!(stream.max_inter_layer_skew(), batch.max_inter);
@@ -360,7 +358,7 @@ proptest! {
         // One run, four observers: ground truth, the whole-stream
         // sketch, and the two column-range partials.
         let mut obs = (
-            FullTrace::new(&g, pulses),
+            PulseTrace::new(&g, pulses),
             (
                 PodSketch::new(&g, rank),
                 (
@@ -382,7 +380,7 @@ proptest! {
         left.merge(&right);
         let merged = left;
 
-        let rows = front_rows(&g, full.trace(), pulses);
+        let rows = front_rows(&g, &full, pulses);
         let whole_snap = whole.snapshot();
         let merged_snap = merged.snapshot();
         prop_assert_eq!(merged_snap.cols, w);
@@ -519,7 +517,7 @@ proptest! {
         prop_assert_eq!(des_r.intra().count(), 0);
     }
 
-    /// Engine-independence of the sketch: serial, barrier, and frontier
+    /// Engine-independence of the sketch: the serial and frontier
     /// engines at 1–4 `--sim-threads` produce bit-identical sketches
     /// (basis, spectrum, and certificate compared via `to_bits`) — the
     /// determinism leg the schema-v7 CI `cmp` gates rest on.
@@ -545,21 +543,18 @@ proptest! {
         let layer0 = OffsetLayer0::new(25.0, offsets);
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
 
-        let run = |engine: usize, threads: usize| {
+        // `threads == None` is the serial driver.
+        let run = |threads: Option<usize>| {
             let mut sk = PodSketch::new(&g, rank);
-            match (fault, engine) {
-                (true, 0) => run_dataflow_observed(
+            match (fault, threads) {
+                (true, None) => run_dataflow_observed(
                     &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut sk),
-                (true, 1) => run_dataflow_barrier(
-                    &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, threads, &mut sk),
-                (true, _) => run_dataflow_parallel(
-                    &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, threads, &mut sk),
-                (false, 0) => run_dataflow_observed(
+                (true, Some(n)) => run_dataflow_parallel(
+                    &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, n, &mut sk),
+                (false, None) => run_dataflow_observed(
                     &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut sk),
-                (false, 1) => run_dataflow_barrier(
-                    &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, threads, &mut sk),
-                (false, _) => run_dataflow_parallel(
-                    &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, threads, &mut sk),
+                (false, Some(n)) => run_dataflow_parallel(
+                    &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, n, &mut sk),
             }
             sk.finish();
             sk.snapshot()
@@ -572,15 +567,10 @@ proptest! {
                 snap.rows,
             )
         };
-        let reference = bits(&run(0, 1));
-        for engine in [1usize, 2] {
-            for threads in 1usize..=4 {
-                let other = bits(&run(engine, threads));
-                prop_assert_eq!(
-                    &reference, &other,
-                    "engine {} threads {} diverged", engine, threads
-                );
-            }
+        let reference = bits(&run(None));
+        for threads in 1usize..=4 {
+            let other = bits(&run(Some(threads)));
+            prop_assert_eq!(&reference, &other, "frontier threads {} diverged", threads);
         }
     }
 }

@@ -19,8 +19,8 @@
 //! to raise it (CI runs a short pass; default keeps the suite fast).
 
 use trix_sim::{
-    run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends, Layer0Source,
-    Observer, OffsetLayer0, PulseRule, Rng, SendModel, SequenceEnvironment, StaticEnvironment,
+    run_dataflow_observed, run_dataflow_parallel, CorrectSends, Layer0Source, Observer,
+    OffsetLayer0, PulseRule, Rng, SendModel, SequenceEnvironment, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
 use trix_topology::{BaseGraph, LayeredGraph, NodeId};
@@ -117,8 +117,8 @@ fn stress_iters(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Runs one random scenario serially and through both sharded engines
-/// at the given worker count, asserting byte-identical event streams.
+/// Runs one random scenario serially and through the frontier engine at
+/// the given worker count, asserting byte-identical event streams.
 fn assert_identical(width: usize, layers: usize, pulses: usize, workers: usize, seed: u64) {
     // Exact-width bases, including the single-column degenerate case
     // (`cycle` needs ≥ 3 nodes, `path` needs ≥ 2).
@@ -168,18 +168,6 @@ fn assert_identical(width: usize, layers: usize, pulses: usize, workers: usize, 
             &mut frontier,
         );
         assert_eq!(serial, frontier, "frontier diverged from serial");
-        let mut barrier = EventLog::default();
-        run_dataflow_barrier(
-            g,
-            env,
-            layer0,
-            &MaxPlus,
-            sends,
-            pulses,
-            workers,
-            &mut barrier,
-        );
-        assert_eq!(serial, barrier, "barrier diverged from serial");
     }
     match faulty {
         Some(bad) => compare(&g, &env, &layer0, &Silence(bad), pulses, workers),

@@ -22,10 +22,6 @@
 //! * [`families`] — deterministic generators for tori, hypercubes, seeded
 //!   random-geometric graphs, sparse interleaved pods, and two-tier
 //!   supernode overlays, each stamped with a versioned topology descriptor;
-//! * [`MutableCsr`] — incremental node/edge mutation over a [`CsrGraph`]
-//!   (tombstoned removals, epoch-stamped compaction) whose
-//!   [`MutableCsr::freeze`] canonicalizes back to a CSR bit-identical to a
-//!   from-scratch rebuild — the open-world churn substrate;
 //! * [`LayeredGraph`] — the DAG `G`, with stable edge indices for per-edge
 //!   delay assignment, and [`LayeredView`] — the derived layering/width
 //!   summary (per-layer widths, diameter, chunk partitions) the parallel
@@ -71,11 +67,9 @@ mod csr;
 pub mod families;
 mod hex;
 mod layered;
-mod mutable;
 
 pub use ancestors::{distance_ancestors, distance_k_faulty, max_k_faulty};
 pub use base::BaseGraph;
 pub use csr::CsrGraph;
 pub use hex::{HexGrid, HexNodeId};
 pub use layered::{chunk_partition, EdgeId, InEdge, InEdgeCsr, LayeredGraph, LayeredView, NodeId};
-pub use mutable::MutableCsr;

@@ -49,15 +49,45 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// The value of `--key` parsed as a `T`, or `None` when the flag is
+    /// absent. A flag with a missing or unparseable value exits 2.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        if !self.has(key) {
+            return None;
+        }
+        match self.get(key) {
+            Some(v) => match v.parse() {
+                Ok(parsed) => Some(parsed),
+                Err(_) => usage_error(&format!("invalid value '{v}' for --{key}")),
+            },
+            None => usage_error(&format!("--{key} needs a value")),
+        }
+    }
+
+    /// [`Args::opt`] with a default for an absent flag.
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.opt(key).unwrap_or(default)
+    }
+
+    /// [`Args::num`] for a count that must be at least `min`; a smaller
+    /// value exits 2.
+    fn count(&self, key: &str, default: usize, min: usize) -> usize {
+        let value = self.num(key, default);
+        if value < min {
+            usage_error(&format!("--{key} must be at least {min} (got {value})"));
+        }
+        value
     }
 
     fn has(&self, key: &str) -> bool {
         self.flags.iter().any(|(k, _)| k == key)
     }
+}
+
+/// Reports a rejected command line and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("trix: {message}");
+    std::process::exit(2);
 }
 
 fn params() -> Params {
@@ -77,20 +107,22 @@ fn behavior_for(name: &str, kappa: Duration, seed: u64) -> FaultBehavior {
             toward_lower: kappa * -8.0,
             toward_higher: kappa * 8.0,
         },
-        other => {
-            eprintln!("unknown behavior '{other}' (silent|late|early|jitter|two-faced)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown behavior '{other}' (silent|late|early|jitter|two-faced)"
+        )),
     }
 }
 
 fn cmd_run(args: &Args) {
     let p = params();
-    let width = args.num("width", 32usize);
-    let layers = args.num("layers", width);
-    let pulses = args.num("pulses", 4usize);
+    let width = args.count("width", 32, 2);
+    let layers = args.count("layers", width, 1);
+    let pulses = args.count("pulses", 4, 1);
     let seed = args.num("seed", 1u64);
     let fault_count = args.num("faults", 0usize);
+    if fault_count > 0 && layers < 2 {
+        usage_error("--faults needs --layers of at least 2 (faults sit above layer 0)");
+    }
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), layers);
 
     let mut rng = Rng::seed_from(seed);
@@ -118,7 +150,12 @@ fn cmd_run(args: &Args) {
     // Faults: either an explicit count (spread across the grid) or a
     // probability via --p-fail.
     let mut model = FaultySendModel::new();
-    if let Some(prob) = args.get("p-fail").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(prob) = args.opt::<f64>("p-fail") {
+        if !(0.0..=1.0).contains(&prob) {
+            usage_error(&format!(
+                "--p-fail must be a probability in [0, 1] (got {prob})"
+            ));
+        }
         let (positions, _) = sample_one_local(&g, prob, 1, &mut rng);
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
@@ -186,7 +223,7 @@ fn cmd_run(args: &Args) {
 
 fn cmd_stabilize(args: &Args) {
     let p = params();
-    let width = args.num("width", 6usize);
+    let width = args.count("width", 6, 2);
     let seed = args.num("seed", 1u64);
     let spurious = args.num("spurious", 40usize);
     let dead_count = args.num("dead", 0usize);
@@ -249,7 +286,7 @@ fn cmd_stabilize(args: &Args) {
 }
 
 fn cmd_compare(args: &Args) {
-    let width = args.num("width", 32usize);
+    let width = args.count("width", 32, 2);
     let table = trix_bench_table(width);
     println!("{table}");
 }
@@ -295,17 +332,15 @@ fn trix_bench_table(width: usize) -> String {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first().map(String::as_str) else {
-        eprintln!("usage: trix <run|stabilize|compare> [flags]  (see source header)");
-        std::process::exit(2);
+        usage_error("no command (usage: trix <run|stabilize|compare> [flags], see source header)");
     };
     let args = Args::parse(&raw[1..]);
     match cmd {
         "run" => cmd_run(&args),
         "stabilize" => cmd_stabilize(&args),
         "compare" => cmd_compare(&args),
-        other => {
-            eprintln!("unknown command '{other}' (run|stabilize|compare)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown command '{other}' (run|stabilize|compare)"
+        )),
     }
 }

@@ -1,0 +1,54 @@
+//! The `trix` binary rejects bad command lines with a message and exit
+//! status 2 instead of a panic, and still runs a valid scenario.
+
+use std::process::{Command, Output};
+
+fn trix(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_trix"))
+        .args(args)
+        .output()
+        .expect("spawn the trix binary")
+}
+
+/// Asserts that `args` exit 2 with a message naming `flag` and no panic.
+fn assert_rejected(args: &[&str], flag: &str) {
+    let out = trix(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(flag),
+        "{args:?}: message must name {flag}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn unparseable_width_is_rejected() {
+    assert_rejected(&["run", "--width", "abc"], "--width");
+}
+
+#[test]
+fn width_below_two_is_rejected_by_every_command() {
+    for cmd in ["run", "stabilize", "compare"] {
+        assert_rejected(&[cmd, "--width", "1"], "--width");
+    }
+}
+
+#[test]
+fn zero_pulses_is_rejected() {
+    assert_rejected(&["run", "--pulses", "0"], "--pulses");
+}
+
+#[test]
+fn valid_run_succeeds() {
+    let out = trix(&[
+        "run", "--width", "6", "--layers", "4", "--pulses", "2", "--seed", "1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("Thm 1.1 bound"), "{stdout}");
+}

@@ -11,13 +11,13 @@
 
 use gradient_trix::analysis::{global_skew, inter_layer_skew, intra_layer_skew};
 use gradient_trix::core::GradientTrixRule;
-use gradient_trix::obs::{FullTrace, PodSketch, SkewStats};
-use gradient_trix::sim::{CorrectSends, SendModel};
+use gradient_trix::obs::{PodSketch, SkewStats};
+use gradient_trix::sim::{CorrectSends, PulseTrace, SendModel};
 use gradient_trix::time::Time;
 use gradient_trix::topology::{LayeredGraph, NodeId};
 use trix_bench::common::{
-    grid, merge_snapshots, run_gradient_trix, run_gradient_trix_graph, run_gradient_trix_streaming,
-    standard_params, streaming_monitor,
+    grid, merge_snapshots, run_trix, standard_params, streaming_monitor,
+    Layer0Kind::{self, Forest, Line},
 };
 use trix_bench::{
     exp_churn, exp_fault_sweep, exp_modes, exp_topology, run_suite, Scale, TraceMode,
@@ -25,39 +25,23 @@ use trix_bench::{
 use trix_runner::BenchRecord;
 
 /// Batch recomputation of a [`SkewStats`] snapshot from a full trace,
-/// folding in the same pulse order as the streaming monitor. `sends` is
-/// `CorrectSends` for the fault-free suite and the reconstructed
-/// [`trix_faults::FaultCampaign`] for `exp_fault_sweep` records.
-fn post_hoc_stats(g: &LayeredGraph, pulses: usize, seed: u64, sends: &impl SendModel) -> SkewStats {
-    let p = standard_params();
-    let rule = GradientTrixRule::new(p);
-    let (trace, _) = run_gradient_trix(g, &p, &rule, sends, pulses, seed);
-    post_hoc_stats_from_trace(g, pulses, &trace)
-}
-
-/// [`post_hoc_stats`] for `exp_topology`, `exp_modes`, and torus-leg
-/// `exp_churn` records: same batch recomputation, but the trace comes
-/// from the graph-generic runner (BFS-forest layer 0) — the source the
-/// family sweeps stream with. `sends` is `CorrectSends` for fault-free
-/// sweeps and the reconstructed `ChurnCampaign` for `exp_churn`.
-fn post_hoc_graph_stats(
+/// folding in the same pulse order as the streaming monitor. `layer0` is
+/// the source the scenario streamed with: the line for grids, the BFS
+/// forest for `exp_topology`, the torus and supernode legs of
+/// `exp_modes`, and the torus leg of `exp_churn`. `sends` is
+/// `CorrectSends` for fault-free sweeps and the reconstructed campaign
+/// (`FaultCampaign` or `ChurnCampaign`) otherwise.
+fn post_hoc_stats(
     g: &LayeredGraph,
     pulses: usize,
     seed: u64,
-    sends: &impl SendModel,
+    layer0: Layer0Kind,
+    sends: &(impl SendModel + Sync),
 ) -> SkewStats {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
-    let (trace, _) = run_gradient_trix_graph(g, &p, &rule, sends, pulses, seed);
-    post_hoc_stats_from_trace(g, pulses, &trace)
-}
-
-fn post_hoc_stats_from_trace(
-    g: &LayeredGraph,
-    pulses: usize,
-    trace: &gradient_trix::sim::PulseTrace,
-) -> SkewStats {
-    let p = standard_params();
+    let trace = PulseTrace::new(g, pulses);
+    let trace = run_trix(g, &rule, sends, pulses, seed, layer0, None, 1, trace);
     // The suite's standard monitor shape (κ/2 bins): recompute the
     // histogram the same way the observer bins per-pulse maxima.
     let reference = streaming_monitor(g, &p);
@@ -74,15 +58,15 @@ fn post_hoc_stats_from_trace(
         let mut pulse_intra: Option<f64> = None;
         let mut pulse_global: Option<f64> = None;
         for layer in 0..g.layer_count() {
-            if let Some(s) = intra_layer_skew(g, trace, k, layer) {
+            if let Some(s) = intra_layer_skew(g, &trace, k, layer) {
                 let s = s.as_f64();
                 pulse_intra = Some(pulse_intra.map_or(s, |w| w.max(s)));
             }
-            if let Some(s) = global_skew(g, trace, k, layer) {
+            if let Some(s) = global_skew(g, &trace, k, layer) {
                 let s = s.as_f64();
                 pulse_global = Some(pulse_global.map_or(s, |w| w.max(s)));
             }
-            if let Some(s) = inter_layer_skew(g, trace, k, layer) {
+            if let Some(s) = inter_layer_skew(g, &trace, k, layer) {
                 max_inter = max_inter.max(s.as_f64());
             }
         }
@@ -161,15 +145,15 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
                     let g = point.layered();
                     return match point.workload {
                         exp_modes::Workload::Grid => {
-                            post_hoc_stats(&g, pulses, seed, &CorrectSends)
+                            post_hoc_stats(&g, pulses, seed, Line, &CorrectSends)
                         }
                         exp_modes::Workload::Wave => {
                             let campaign =
                                 exp_fault_sweep::campaign_for(&g, &point.wave_point(), seed);
-                            post_hoc_stats(&g, pulses, seed, &campaign)
+                            post_hoc_stats(&g, pulses, seed, Line, &campaign)
                         }
                         exp_modes::Workload::Torus | exp_modes::Workload::Supernode => {
-                            post_hoc_graph_stats(&g, pulses, seed, &CorrectSends)
+                            post_hoc_stats(&g, pulses, seed, Forest, &CorrectSends)
                         }
                     };
                 }
@@ -184,12 +168,11 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
                     let (g, topology) = exp_churn::deployment(&point);
                     assert_eq!(record.topology.is_some(), topology.is_some());
                     let campaign = exp_churn::campaign_for(&g, &point, seed);
-                    return match point.topo {
-                        exp_churn::TopoClass::Grid => post_hoc_stats(&g, pulses, seed, &campaign),
-                        exp_churn::TopoClass::Torus => {
-                            post_hoc_graph_stats(&g, pulses, seed, &campaign)
-                        }
+                    let layer0 = match point.topo {
+                        exp_churn::TopoClass::Grid => Line,
+                        exp_churn::TopoClass::Torus => Forest,
                     };
+                    return post_hoc_stats(&g, pulses, seed, layer0, &campaign);
                 }
                 if record.experiment == "exp_topology" {
                     // Family scenarios (schema v6 stamps the versioned
@@ -200,7 +183,7 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
                     let point = exp_topology::point_from_params(&record.params)
                         .expect("sweep point from params");
                     let g = exp_topology::layered(&point);
-                    return post_hoc_graph_stats(&g, pulses, seed, &CorrectSends);
+                    return post_hoc_stats(&g, pulses, seed, Forest, &CorrectSends);
                 }
                 let width = param(record, "width").expect("width param");
                 let layers = param(record, "layers").unwrap_or(width); // exp_scale & fault sweep: square
@@ -214,9 +197,9 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
                     let point = exp_fault_sweep::point_from_params(&record.params)
                         .expect("sweep point from params");
                     let campaign = exp_fault_sweep::campaign_for(&g, &point, seed);
-                    post_hoc_stats(&g, pulses, seed, &campaign)
+                    post_hoc_stats(&g, pulses, seed, Line, &campaign)
                 } else {
-                    post_hoc_stats(&g, pulses, seed, &CorrectSends)
+                    post_hoc_stats(&g, pulses, seed, Line, &CorrectSends)
                 }
             })
             .collect();
@@ -248,12 +231,21 @@ fn sketch_certificate_holds_on_full_trace_grids() {
         (6, 5, 3, 8),
     ] {
         let g = grid(width, layers);
-        let mut pair = (FullTrace::new(&g, pulses), PodSketch::new(&g, rank));
-        run_gradient_trix_streaming(&g, &p, &rule, &CorrectSends, pulses, 0xfeed, 1, &mut pair);
-        let (full, mut sketch) = pair;
+        let mut pair = (PulseTrace::new(&g, pulses), PodSketch::new(&g, rank));
+        run_trix(
+            &g,
+            &rule,
+            &CorrectSends,
+            pulses,
+            0xfeed,
+            Line,
+            None,
+            1,
+            &mut pair,
+        );
+        let (trace, mut sketch) = pair;
         sketch.finish();
         let snap = sketch.snapshot();
-        let trace = full.into_trace();
 
         // Ground-truth pulse-front matrix, in the sketch's row order:
         // one row per (k, layer) front with ≥ 1 emission, misfires 0.0.
