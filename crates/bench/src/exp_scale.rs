@@ -126,7 +126,7 @@ mod tests {
     /// The scale claim itself: a grid 10× wider than the widest
     /// full-trace experiment (thm11 at width 128) completes in streaming
     /// mode. Peak observer memory is `O(nodes)` by construction — the
-    /// monitor holds two pulse fronts and the driver two layer rows; no
+    /// monitor holds one pulse front and the driver two layer rows; no
     /// `O(nodes × pulses)` allocation exists on this path.
     #[test]
     fn ten_x_grid_completes_streaming() {

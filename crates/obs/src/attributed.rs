@@ -7,8 +7,10 @@
 //! fault's blast radius) versus **healthy** skew (pairs with no faulty
 //! node anywhere near). [`FaultClassSkew`] partitions the intra-layer
 //! skew fold by that frontier and keeps one mergeable aggregate per
-//! class, with the same `O(nodes)` pulse-front state and partial-merge
-//! semantics as [`crate::StreamingSkew`].
+//! class, with the same partial-merge semantics as
+//! [`crate::StreamingSkew`]. Intra-layer pairs lie within one row, so it
+//! folds each row as it arrives and keeps no pulse front: its `O(nodes)`
+//! state is the fault and frontier flags.
 //!
 //! **Frontier definition.** A correct node is *frontier* iff a faulty
 //! position (as announced by [`Observer::on_faulty`]) is in its closed
@@ -85,11 +87,17 @@ pub struct FaultClassSkew {
     g: LayeredGraph,
     faulty: Vec<bool>,
     frontier: Vec<bool>,
-    /// Pulse `cur_k` front, filling in.
-    cur: Vec<Option<Time>>,
+    /// Element path only: the `(k, layer)` row being assembled.
+    row: Vec<Option<Time>>,
+    /// The `(k, layer)` of the latest row, and whether `row` holds it
+    /// unfolded.
+    last: Option<(usize, u32)>,
+    open: bool,
     cur_k: usize,
-    started: bool,
     finished: bool,
+    /// Pulse `cur_k`'s per-class maxima so far.
+    pulse_frontier: Option<f64>,
+    pulse_healthy: Option<f64>,
     frontier_intra: RunningStat,
     healthy_intra: RunningStat,
 }
@@ -109,10 +117,13 @@ impl FaultClassSkew {
             g: g.clone(),
             faulty: vec![false; n],
             frontier: vec![false; n],
-            cur: vec![None; n],
+            row: Vec::new(),
+            last: None,
+            open: false,
             cur_k: 0,
-            started: false,
             finished: false,
+            pulse_frontier: None,
+            pulse_healthy: None,
             frontier_intra: RunningStat::new(hist.clone()),
             healthy_intra: RunningStat::new(hist),
         }
@@ -123,39 +134,60 @@ impl FaultClassSkew {
         n.layer as usize * self.g.width() + n.v as usize
     }
 
-    /// Finalizes the in-progress pulse: per layer, folds every intra
-    /// edge's skew into its class's per-pulse maximum, then records.
-    fn advance(&mut self) {
-        let g = &self.g;
-        let w = g.width();
-        let mut frontier_max: Option<f64> = None;
-        let mut healthy_max: Option<f64> = None;
-        for layer in 0..g.layer_count() {
-            let row = layer * w;
-            for (a, b) in g.base().edges() {
-                let (ia, ib) = (row + a, row + b);
-                if self.faulty[ia] || self.faulty[ib] {
-                    continue;
-                }
-                let (Some(ta), Some(tb)) = (self.cur[ia], self.cur[ib]) else {
-                    continue;
-                };
-                let skew = (ta - tb).abs().as_f64();
-                let slot = if self.frontier[ia] || self.frontier[ib] {
-                    &mut frontier_max
-                } else {
-                    &mut healthy_max
-                };
-                *slot = Some(slot.map_or(skew, |m| m.max(skew)));
+    /// Folds every intra edge of one complete layer row into its class's
+    /// per-pulse maximum.
+    fn fold(&mut self, layer: usize, row: &[Option<Time>]) {
+        let base = layer * self.g.width();
+        for (a, b) in self.g.base().edges() {
+            let (ia, ib) = (base + a, base + b);
+            if self.faulty[ia] || self.faulty[ib] {
+                continue;
             }
+            let (Some(ta), Some(tb)) = (row[a], row[b]) else {
+                continue;
+            };
+            let skew = (ta - tb).abs().as_f64();
+            let slot = if self.frontier[ia] || self.frontier[ib] {
+                &mut self.pulse_frontier
+            } else {
+                &mut self.pulse_healthy
+            };
+            *slot = Some(slot.map_or(skew, |m| m.max(skew)));
         }
-        if let Some(s) = frontier_max {
+    }
+
+    /// Folds the open element-path row, if any.
+    fn close(&mut self) {
+        if self.open {
+            self.open = false;
+            let (_, layer) = self.last.expect("an open row has a key");
+            let row = std::mem::take(&mut self.row);
+            self.fold(layer as usize, &row);
+            self.row = row;
+        }
+    }
+
+    /// Moves to row `(k, layer)`: finalizes every pulse before `k`.
+    fn begin(&mut self, k: usize, layer: u32) {
+        debug_assert!(!self.finished, "pulse after finish()");
+        debug_assert!(
+            self.last < Some((k, layer)),
+            "pulse rows must arrive in increasing (k, layer) order"
+        );
+        while k > self.cur_k {
+            self.advance();
+        }
+        self.last = Some((k, layer));
+    }
+
+    /// Finalizes pulse `cur_k`: records its per-class maxima.
+    fn advance(&mut self) {
+        if let Some(s) = self.pulse_frontier.take() {
             self.frontier_intra.record(s);
         }
-        if let Some(s) = healthy_max {
+        if let Some(s) = self.pulse_healthy.take() {
             self.healthy_intra.record(s);
         }
-        self.cur.fill(None);
         self.cur_k += 1;
     }
 
@@ -163,7 +195,8 @@ impl FaultClassSkew {
     /// [`FaultClassSkew::snapshot`].
     pub fn finish(&mut self) {
         if !self.finished {
-            if self.started {
+            self.close();
+            if self.last.is_some() {
                 self.advance();
             }
             self.finished = true;
@@ -243,15 +276,30 @@ impl Observer for FaultClassSkew {
         }
     }
 
+    /// Element path: assembles the `(k, layer)` row and folds it once
+    /// the next `(k, layer)` (or [`FaultClassSkew::finish`]) arrives.
+    /// Elements must arrive in non-decreasing `(k, layer)` order.
     fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        debug_assert!(!self.finished, "pulse after finish()");
-        debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
-        while k > self.cur_k {
-            self.advance();
+        if !(self.open && self.last == Some((k, node.layer))) {
+            self.close();
+            self.begin(k, node.layer);
+            self.row.clear();
+            self.row.resize(self.g.width(), None);
+            self.open = true;
         }
-        let i = self.index(node);
-        self.cur[i] = Some(t);
-        self.started = true;
+        self.row[node.v as usize] = Some(t);
+    }
+
+    /// Row fast path: folds the row as it arrives. All-`None` rows are
+    /// skipped, as the element default forwards nothing for them.
+    fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
+        if !row.iter().any(Option::is_some) {
+            return;
+        }
+        debug_assert_eq!(row.len(), self.g.width(), "row is one full layer");
+        self.close();
+        self.begin(k, layer);
+        self.fold(layer as usize, row);
     }
 }
 

@@ -3,9 +3,10 @@
 //!
 //! Both consumers — the post-hoc analyzer (`trix_analysis::skew`, which
 //! looks times up in a full `PulseTrace`) and the online monitor
-//! ([`crate::StreamingSkew`], which looks them up in its `O(nodes)` pulse
-//! fronts) — delegate to these functions, so the two *cannot drift*: they
-//! iterate the same edges in the same order and fold with the same `max`.
+//! ([`crate::StreamingSkew`], which looks them up in each arriving row
+//! and its `O(nodes)` pulse front) — delegate to these functions, so the
+//! two *cannot drift*: they iterate the same edges in the same order and
+//! fold with the same `max`.
 //!
 //! Lookups return `None` for nodes that are faulty or did not fire; the
 //! folds skip those pairs, exactly as the paper restricts skew to correct
@@ -13,6 +14,28 @@
 
 use trix_time::{Duration, Time};
 use trix_topology::{LayeredGraph, NodeId};
+
+/// The running worst `|Δt|` of a skew fold. It starts at zero and notes
+/// whether any pair contributed. Every sample is an absolute value (`+0`
+/// or above, or NaN), so after the first sample the fold holds exactly
+/// what a fold seeded with that sample would.
+#[derive(Default)]
+struct Worst {
+    max: Duration,
+    any: bool,
+}
+
+impl Worst {
+    #[inline]
+    fn fold(&mut self, diff: Duration) {
+        self.max = self.max.max(diff.abs());
+        self.any = true;
+    }
+
+    fn get(self) -> Option<Duration> {
+        self.any.then_some(self.max)
+    }
+}
 
 /// Intra-layer local skew `L_ℓ` of one layer for one pulse: worst
 /// `|t_v − t_w|` over base-graph edges `{v, w}`, with both endpoints'
@@ -24,17 +47,21 @@ pub fn worst_intra_layer(
     layer: usize,
     mut time: impl FnMut(NodeId) -> Option<Time>,
 ) -> Option<Duration> {
-    let mut worst: Option<Duration> = None;
-    for (a, b) in g.base().edges() {
-        let na = g.node(a, layer);
-        let nb = g.node(b, layer);
-        let (Some(ta), Some(tb)) = (time(na), time(nb)) else {
-            continue;
-        };
-        let skew = (ta - tb).abs();
-        worst = Some(worst.map_or(skew, |w| w.max(skew)));
+    assert!(layer < g.layer_count(), "layer out of range");
+    let node = |v: usize| NodeId::new(v as u32, layer as u32);
+    // The base edges `(a, b)` with `a < b`, in `BaseGraph::edges` order.
+    let mut worst = Worst::default();
+    for a in 0..g.width() {
+        for &b in g.base().neighbors(a) {
+            if b <= a {
+                continue;
+            }
+            if let (Some(ta), Some(tb)) = (time(node(a)), time(node(b))) {
+                worst.fold(ta - tb);
+            }
+        }
     }
-    worst
+    worst.get()
 }
 
 /// Inter-layer local skew `L_{ℓ,ℓ+1}` for one pulse pair: worst
@@ -53,21 +80,26 @@ pub fn worst_inter_layer(
     if layer + 1 >= g.layer_count() {
         return None;
     }
-    let mut worst: Option<Duration> = None;
+    // The grid successors of `(v, ℓ)` are `(v, ℓ+1)` and then `(x, ℓ+1)`
+    // for each sorted base neighbour `x` — `LayeredGraph::successors`'
+    // order, walked without building the edge ids the fold never reads.
+    let (from_layer, to_layer) = (layer as u32, layer as u32 + 1);
+    let mut worst = Worst::default();
     for v in 0..g.width() {
-        let from = g.node(v, layer);
-        let Some(t_from) = upper(from) else {
+        let Some(t_from) = upper(NodeId::new(v as u32, from_layer)) else {
             continue;
         };
-        for (succ, _) in g.successors(from) {
-            let Some(t_to) = lower(succ) else {
-                continue;
-            };
-            let skew = (t_from - t_to).abs();
-            worst = Some(worst.map_or(skew, |w| w.max(skew)));
+        let mut visit = |x: usize| {
+            if let Some(t_to) = lower(NodeId::new(x as u32, to_layer)) {
+                worst.fold(t_from - t_to);
+            }
+        };
+        visit(v);
+        for &x in g.base().neighbors(v) {
+            visit(x);
         }
     }
-    worst
+    worst.get()
 }
 
 /// Global skew of one layer for one pulse: the spread `max − min` of the
@@ -78,10 +110,11 @@ pub fn layer_spread(
     layer: usize,
     mut time: impl FnMut(NodeId) -> Option<Time>,
 ) -> Option<Duration> {
+    assert!(layer < g.layer_count(), "layer out of range");
     let mut min: Option<Time> = None;
     let mut max: Option<Time> = None;
     for v in 0..g.width() {
-        let Some(t) = time(g.node(v, layer)) else {
+        let Some(t) = time(NodeId::new(v as u32, layer as u32)) else {
             continue;
         };
         min = Some(min.map_or(t, |m| m.min(t)));

@@ -11,8 +11,9 @@
 //! retain:
 //!
 //! * [`StreamingSkew`] — incremental intra-layer, inter-layer, and global
-//!   skew over the dataflow stream. Retains only the current pulse front
-//!   (`O(nodes)`), folds per-pulse maxima into running
+//!   skew over the dataflow stream. Folds each layer row as it arrives,
+//!   retains one pulse front (the latest row of every layer,
+//!   `O(nodes)`), records per-pulse maxima into running
 //!   max/sum/count/histogram aggregates, and is **bit-identical** to the
 //!   post-hoc `trix_analysis::skew` results because both delegate to the
 //!   shared definitions in [`defs`].

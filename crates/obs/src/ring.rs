@@ -79,7 +79,10 @@ impl TraceRing {
             // with `head == 0`, so the next push overwrites index 0 —
             // the ring always holds the most recent `capacity` events.
             self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
     }
 
@@ -144,6 +147,33 @@ impl Observer for TraceRing {
             node: (node.layer << 16) | node.v,
             pulse: k as u32,
         });
+    }
+
+    /// Row fast path: only the last `capacity` present entries of a row
+    /// can survive it, so the ones before them are counted in
+    /// [`TraceRing::total_recorded`] without being written. The retained
+    /// events, their order and the total equal the element path's.
+    fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
+        debug_assert!(
+            row.len() <= 1 << 16 && layer < 1 << 16,
+            "grid position does not fit the packed encoding"
+        );
+        let mut start = row.len();
+        let mut kept = 0;
+        while kept < self.capacity && start > 0 {
+            start -= 1;
+            kept += usize::from(row[start].is_some());
+        }
+        self.total += row[..start].iter().filter(|t| t.is_some()).count() as u64;
+        for (v, slot) in row.iter().enumerate().skip(start) {
+            if let Some(t) = *slot {
+                self.push(TraceEvent {
+                    time: t,
+                    node: (layer << 16) | v as u32,
+                    pulse: k as u32,
+                });
+            }
+        }
     }
 
     fn on_broadcast(&mut self, node: usize, t: Time) {

@@ -1,14 +1,16 @@
 //! Online skew statistics over a streaming pulse feed.
 //!
 //! [`StreamingSkew`] consumes the dataflow executor's
-//! [`Observer::on_pulse`] stream and maintains the paper's skew metrics
-//! incrementally: it retains only the **current pulse front** (the
-//! previous and in-progress pulse, two `O(nodes)` rows) and folds each
-//! completed pulse's maxima into running `max`/`sum`/`count` aggregates
-//! plus a fixed-bin histogram. Peak memory is `O(nodes)` — independent of
-//! the pulse count — versus the `O(nodes × pulses)` of a full
-//! [`trix_sim::PulseTrace`], which is what lets `exp_scale` sweep grids an
-//! order of magnitude wider than the trace-backed experiments.
+//! [`Observer::on_pulse_row`] stream and maintains the paper's skew
+//! metrics incrementally: it folds each `(k, layer)` row as it arrives
+//! and retains only **one pulse front** (the latest row of every layer,
+//! one `O(nodes)` array), which the next pulse's rows read for the
+//! inter-layer pairs. Each completed pulse's maxima go into running
+//! `max`/`sum`/`count` aggregates plus a fixed-bin histogram. Peak memory
+//! is `O(nodes)` — independent of the pulse count — versus the
+//! `O(nodes × pulses)` of a full [`trix_sim::PulseTrace`], which is what
+//! lets `exp_scale` sweep grids an order of magnitude wider than the
+//! trace-backed experiments.
 //!
 //! The per-pulse maxima are computed by the shared definitions in
 //! [`crate::defs`], the same functions the post-hoc analyzer uses, so the
@@ -247,24 +249,49 @@ impl SkewStats {
 /// * [`max_global_skew`](Self::max_global_skew) == the fold of
 ///   `global_skew(g, trace, k, ℓ)` over all pulses and layers.
 ///
-/// Pulse emissions must arrive pulse-major (non-decreasing `k`), which is
-/// the dataflow driver's deterministic order; the monitor finalizes pulse
-/// `k` when the first `k+1` emission arrives.
+/// The monitor keeps a single pulse front: the latest row of every layer,
+/// with faulty positions masked to `None`, plus the pulse index of each.
+/// Each `(k, ℓ)` row replaces its layer's stored row and is folded the
+/// moment it is complete: its intra-layer skew and spread from the row
+/// itself, its inter-layer skew against the stored pulse-`k−1` row of
+/// layer `ℓ+1`. A layer whose stored row is not from pulse `k−1` (it was
+/// skipped or silent) contributes no inter-layer pairs. Per-pulse maxima
+/// are recorded when the first row of pulse `k+1` arrives (or at
+/// [`finish`](Self::finish)), one sample per pulse.
+///
+/// Emissions must arrive in non-decreasing `(k, layer)` order — the
+/// dataflow drivers' deterministic order — with faulty positions
+/// announced before the first pulse.
 #[derive(Clone, Debug)]
 pub struct StreamingSkew {
     g: LayeredGraph,
-    faulty: Vec<bool>,
-    /// Pulse `cur_k − 1` front (all nodes).
-    prev: Vec<Option<Time>>,
-    /// Pulse `cur_k` front, filling in.
-    cur: Vec<Option<Time>>,
+    /// Faulty columns of each layer.
+    faulty: Vec<Vec<usize>>,
+    /// The latest row of every layer (all nodes), faulty nodes `None`.
+    front: Vec<Option<Time>>,
+    /// Pulse index of each layer's row in `front` (`None`: no row yet).
+    stamp: Vec<Option<usize>>,
+    /// The `(k, layer)` of the latest row, and whether it is still open:
+    /// assembled element by element in `front` and not yet folded.
+    last: Option<(usize, u32)>,
+    open: bool,
     cur_k: usize,
-    started: bool,
     finished: bool,
     pulses: u64,
+    /// Pulse `cur_k`'s maxima so far.
+    pulse_intra: Option<Duration>,
+    pulse_inter: Option<Duration>,
+    pulse_global: Option<Duration>,
     intra: RunningStat,
     inter: RunningStat,
     global: RunningStat,
+}
+
+/// Folds `s` into a running maximum.
+fn fold_max(acc: &mut Option<Duration>, s: Option<Duration>) {
+    if let Some(s) = s {
+        *acc = Some(acc.map_or(s, |w| w.max(s)));
+    }
 }
 
 impl StreamingSkew {
@@ -285,84 +312,94 @@ impl StreamingSkew {
         let hist = Histogram::new(bin_width, bin_count);
         Self {
             g: g.clone(),
-            faulty: vec![false; n],
-            prev: vec![None; n],
-            cur: vec![None; n],
+            faulty: vec![Vec::new(); g.layer_count()],
+            front: vec![None; n],
+            stamp: vec![None; g.layer_count()],
+            last: None,
+            open: false,
             cur_k: 0,
-            started: false,
             finished: false,
             pulses: 0,
+            pulse_intra: None,
+            pulse_inter: None,
+            pulse_global: None,
             intra: RunningStat::new(hist.clone()),
             inter: RunningStat::new(hist.clone()),
             global: RunningStat::new(hist),
         }
     }
 
-    #[inline]
-    fn index(&self, n: NodeId) -> usize {
-        n.layer as usize * self.g.width() + n.v as usize
+    /// Looks up one layer's times in its stored row.
+    fn lookup(row: &[Option<Time>]) -> impl FnMut(NodeId) -> Option<Time> + '_ {
+        move |n: NodeId| row[n.v as usize]
     }
 
-    fn lookup<'a>(
-        row: &'a [Option<Time>],
-        faulty: &'a [bool],
-        g: &'a LayeredGraph,
-    ) -> impl FnMut(NodeId) -> Option<Time> + 'a {
-        move |n: NodeId| {
-            let i = n.layer as usize * g.width() + n.v as usize;
-            if faulty[i] {
-                None
-            } else {
-                row[i]
-            }
-        }
-    }
-
-    /// Finalizes the in-progress pulse: folds its per-pulse maxima into
-    /// the running statistics and rotates the fronts.
-    fn advance(&mut self) {
+    /// Folds the stored row `(k, layer)` into pulse `k`'s maxima; layer
+    /// `layer + 1` of the front still holds its previous row.
+    fn fold(&mut self, k: usize, layer: usize) {
         let g = &self.g;
-        // Intra-layer: per-pulse maximum of L_ℓ over all layers.
-        let mut intra: Option<Duration> = None;
-        let mut global: Option<Duration> = None;
-        for layer in 0..g.layer_count() {
-            if let Some(s) =
-                defs::worst_intra_layer(g, layer, Self::lookup(&self.cur, &self.faulty, g))
-            {
-                intra = Some(intra.map_or(s, |w| w.max(s)));
-            }
-            if let Some(s) = defs::layer_spread(g, layer, Self::lookup(&self.cur, &self.faulty, g))
-            {
-                global = Some(global.map_or(s, |w| w.max(s)));
-            }
-        }
-        if let Some(s) = intra {
-            self.intra.record(s.as_f64());
-        }
-        if let Some(s) = global {
-            self.global.record(s.as_f64());
-        }
-        // Inter-layer: pulse pair (cur_k − 1, cur_k) becomes complete now
-        // — `cur` holds the upper (k+1) times, `prev` the lower (k) ones.
-        if self.cur_k > 0 {
-            let mut inter: Option<Duration> = None;
-            for layer in 0..g.layer_count() {
-                if let Some(s) = defs::worst_inter_layer(
+        let w = g.width();
+        let row = |l: usize| &self.front[l * w..(l + 1) * w];
+        fold_max(
+            &mut self.pulse_intra,
+            defs::worst_intra_layer(g, layer, Self::lookup(row(layer))),
+        );
+        fold_max(
+            &mut self.pulse_global,
+            defs::layer_spread(g, layer, Self::lookup(row(layer))),
+        );
+        // Inter-layer pair (k−1, k): this row is the upper (pulse k) side,
+        // the stored layer-(ℓ+1) row the lower (pulse k−1) one.
+        let below = layer + 1;
+        if k > 0 && below < g.layer_count() && self.stamp[below] == Some(k - 1) {
+            fold_max(
+                &mut self.pulse_inter,
+                defs::worst_inter_layer(
                     g,
                     layer,
-                    Self::lookup(&self.cur, &self.faulty, g),
-                    Self::lookup(&self.prev, &self.faulty, g),
-                ) {
-                    inter = Some(inter.map_or(s, |w| w.max(s)));
-                }
-            }
-            if let Some(s) = inter {
-                self.inter.record(s.as_f64());
-            }
+                    Self::lookup(row(layer)),
+                    Self::lookup(row(below)),
+                ),
+            );
+        }
+    }
+
+    /// Folds the open element-path row, if any.
+    fn close(&mut self) {
+        if self.open {
+            self.open = false;
+            let (k, layer) = self.last.expect("an open row has a key");
+            self.fold(k, layer as usize);
+        }
+    }
+
+    /// Moves to row `(k, layer)`: finalizes every pulse before `k`.
+    fn begin(&mut self, k: usize, layer: u32) {
+        debug_assert!(!self.finished, "pulse after finish()");
+        debug_assert!(
+            self.last < Some((k, layer)),
+            "pulse rows must arrive in increasing (k, layer) order"
+        );
+        while k > self.cur_k {
+            self.advance();
+        }
+        self.last = Some((k, layer));
+        self.stamp[layer as usize] = Some(k);
+    }
+
+    /// Finalizes pulse `cur_k`: records its maxima (one sample per
+    /// statistic, or none if no pair or node contributed).
+    fn advance(&mut self) {
+        if let Some(s) = self.pulse_intra.take() {
+            self.intra.record(s.as_f64());
+        }
+        if let Some(s) = self.pulse_global.take() {
+            self.global.record(s.as_f64());
+        }
+        if let Some(s) = self.pulse_inter.take() {
+            self.inter.record(s.as_f64());
         }
         self.pulses += 1;
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        self.cur.fill(None);
         self.cur_k += 1;
     }
 
@@ -370,7 +407,8 @@ impl StreamingSkew {
     /// reading [`StreamingSkew::snapshot`]; idempotent.
     pub fn finish(&mut self) {
         if !self.finished {
-            if self.started {
+            self.close();
+            if self.last.is_some() {
                 self.advance();
             }
             self.finished = true;
@@ -478,44 +516,47 @@ impl StreamingSkew {
 
 impl Observer for StreamingSkew {
     fn on_faulty(&mut self, node: NodeId) {
-        let i = self.index(node);
-        self.faulty[i] = true;
+        self.faulty[node.layer as usize].push(node.v as usize);
     }
 
+    /// Element path: assembles the `(k, layer)` row in the front and
+    /// folds it once the next `(k, layer)` (or [`StreamingSkew::finish`])
+    /// arrives. Elements must arrive in non-decreasing `(k, layer)`
+    /// order, as the default row unpacking emits them.
     fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        debug_assert!(!self.finished, "pulse after finish()");
-        debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
-        while k > self.cur_k {
-            self.advance();
+        let (layer, v) = (node.layer as usize, node.v as usize);
+        if !(self.open && self.last == Some((k, node.layer))) {
+            self.close();
+            self.begin(k, node.layer);
+            let w = self.g.width();
+            self.front[layer * w..(layer + 1) * w].fill(None);
+            self.open = true;
         }
-        let i = self.index(node);
-        self.cur[i] = Some(t);
-        self.started = true;
+        if !self.faulty[layer].contains(&v) {
+            self.front[layer * self.g.width() + v] = Some(t);
+        }
     }
 
-    /// Row fast path: one pulse-major check and one slice splice per
-    /// layer instead of a dispatch + index computation per element.
-    /// All-`None` rows are skipped outright (the element default would
-    /// forward nothing), so the state trajectory — including when the
-    /// internal `advance` step finalizes a pulse — is bit-identical to
-    /// the per-element path.
+    /// Row fast path: stores the row as its layer's front row, masks the
+    /// layer's faulty nodes, and folds it. All-`None` rows are skipped
+    /// outright (the element default would forward nothing), so the
+    /// state trajectory — including when a pulse is finalized — is
+    /// bit-identical to the per-element path.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         if !row.iter().any(Option::is_some) {
             return;
         }
-        debug_assert!(!self.finished, "pulse after finish()");
-        debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
         debug_assert_eq!(row.len(), self.g.width(), "row is one full layer");
-        while k > self.cur_k {
-            self.advance();
-        }
+        self.close();
+        // `begin` finalizes earlier pulses and restamps only this layer;
+        // the fold reads the stamp and stored row of layer + 1.
+        self.begin(k, layer);
         let base = layer as usize * self.g.width();
-        for (slot, t) in self.cur[base..base + row.len()].iter_mut().zip(row) {
-            if t.is_some() {
-                *slot = *t;
-            }
+        self.front[base..base + row.len()].copy_from_slice(row);
+        for &v in &self.faulty[layer as usize] {
+            self.front[base + v] = None;
         }
-        self.started = true;
+        self.fold(k, layer as usize);
     }
 }
 

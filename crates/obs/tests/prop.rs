@@ -10,7 +10,9 @@
 //! `trix_analysis::skew` across the experiment suite.
 
 use proptest::prelude::*;
-use trix_obs::{defs, DesSkew, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing};
+use trix_obs::{
+    defs, DesSkew, FaultClassSkew, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing,
+};
 use trix_sim::{
     run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0, PulseRule,
     PulseTrace, Rng, SendModel, StaticEnvironment,
@@ -434,9 +436,12 @@ proptest! {
     /// `on_pulse_row`, fanned out by the tuple forwarding impl) yields
     /// states bit-identical to the same run behind [`PerElement`]
     /// (default unpacking into `on_pulse`). Pins that the row fast
-    /// paths in `StreamingSkew`/`PodSketch` — and any added later —
-    /// are pure restatements of the element stream, including silent
-    /// (all-`None`) and partially-silent rows under faults.
+    /// paths in `StreamingSkew`/`FaultClassSkew`/`PodSketch`/
+    /// `TraceRing` — and any added later — are pure restatements of the
+    /// element stream, including silent (all-`None`) and
+    /// partially-silent rows under faults. The ring's capacity is drawn
+    /// from {0, 1, below the width, above nodes × pulses}, so its row
+    /// path both skips part of a row and keeps all of it.
     #[test]
     fn row_hook_equals_element_hook_for_every_observer(
         seed in any::<u64>(),
@@ -446,6 +451,7 @@ proptest! {
         cycle in any::<bool>(),
         fault in any::<bool>(),
         rank in 1usize..5,
+        ring_kind in 0usize..4,
     ) {
         let base = if cycle {
             BaseGraph::cycle(width)
@@ -464,16 +470,25 @@ proptest! {
         let offsets: Vec<f64> = (0..g.width()).map(|_| rng.f64_in(0.0, 3.0)).collect();
         let layer0 = OffsetLayer0::new(25.0, offsets);
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
+        let ring_capacity = match ring_kind {
+            0 => 0,
+            1 => 1,
+            2 => g.width() - 1,
+            _ => g.node_count() * pulses + 1,
+        };
 
         let observers = || {
             (
-                StreamingSkew::new(&g),
+                (StreamingSkew::new(&g), FaultClassSkew::new(&g)),
                 (
                     PodSketch::new(&g, rank),
                     // DesSkew is broadcast-fed: the dataflow row stream
                     // must leave it untouched on BOTH paths (its
                     // `on_pulse` is the default no-op).
-                    (TraceRing::new(16), DesSkew::for_grid(&g, 1, Duration::from(10.0))),
+                    (
+                        TraceRing::new(ring_capacity),
+                        DesSkew::for_grid(&g, 1, Duration::from(10.0)),
+                    ),
                 ),
             )
         };
@@ -490,14 +505,21 @@ proptest! {
         let mut elem = PerElement(observers());
         drive(&mut elem);
 
-        let (mut skew_r, (mut pod_r, (ring_r, des_r))) = row;
-        let PerElement((mut skew_e, (mut pod_e, (ring_e, des_e)))) = elem;
+        let ((mut skew_r, mut class_r), (mut pod_r, (ring_r, des_r))) = row;
+        let PerElement(((mut skew_e, mut class_e), (mut pod_e, (ring_e, des_e)))) = elem;
         skew_r.finish();
         skew_e.finish();
+        class_r.finish();
+        class_e.finish();
         pod_r.finish();
         pod_e.finish();
 
         prop_assert_eq!(skew_r.snapshot(), skew_e.snapshot());
+        prop_assert_eq!(class_r.snapshot(), class_e.snapshot());
+        prop_assert_eq!(
+            class_r.healthy().histogram().bins(),
+            class_e.healthy().histogram().bins()
+        );
         let snap_r = pod_r.snapshot();
         let snap_e = pod_e.snapshot();
         prop_assert_eq!(snap_r.rows, snap_e.rows);
@@ -511,7 +533,11 @@ proptest! {
         );
         prop_assert_eq!(snap_r.error_bound.to_bits(), snap_e.error_bound.to_bits());
         prop_assert_eq!(ring_r.total_recorded(), ring_e.total_recorded());
-        prop_assert_eq!(ring_r.recent(16), ring_e.recent(16));
+        prop_assert_eq!(ring_r.len(), ring_e.len());
+        prop_assert_eq!(
+            ring_r.iter().copied().collect::<Vec<_>>(),
+            ring_e.iter().copied().collect::<Vec<_>>()
+        );
         prop_assert_eq!(des_r.max_intra(), des_e.max_intra());
         prop_assert_eq!(des_r.intra().count(), des_e.intra().count());
         prop_assert_eq!(des_r.intra().count(), 0);
@@ -573,4 +599,62 @@ proptest! {
             prop_assert_eq!(&reference, &other, "frontier threads {} diverged", threads);
         }
     }
+}
+
+/// Hand-fed edge cases of the one-front fold, against the batch
+/// recomputation over a trace of the same stream: a pulse with no
+/// emissions at all, an all-`None` row (its layer's stored row is then
+/// stale for the next pulse's inter-layer pairs), a partial row, and an
+/// outlier faulty node. Both the row path and the element path must
+/// match the batch fold.
+#[test]
+fn streaming_skew_handles_silent_pulses_rows_and_faulty_nodes() {
+    let g = LayeredGraph::new(BaseGraph::cycle(5), 3);
+    let pulses = 4;
+    let faulty = g.node(2, 1);
+    let mut obs = (
+        PulseTrace::new(&g, pulses),
+        (StreamingSkew::new(&g), PerElement(StreamingSkew::new(&g))),
+    );
+    obs.on_faulty(faulty);
+    for k in 0..pulses {
+        for layer in 0..g.layer_count() as u32 {
+            let row: Vec<Option<Time>> = (0..g.width() as u32)
+                .map(|v| {
+                    let silent = k == 1 // no emissions in pulse 1
+                        || (k == 2 && layer == 1) // one all-`None` row
+                        || (k == 2 && layer == 0 && v == 4); // one misfire
+                    let t = if NodeId::new(v, layer) == faulty {
+                        1e6
+                    } else {
+                        (k * 100) as f64 + f64::from(layer * 10) + f64::from(v * v)
+                    };
+                    (!silent).then(|| Time::from(t))
+                })
+                .collect();
+            obs.on_pulse_row(k, layer, &row);
+        }
+    }
+    let (trace, (mut row_path, PerElement(mut elem_path))) = obs;
+    row_path.finish();
+    elem_path.finish();
+
+    let batch = batch_fold(&g, &trace, pulses);
+    for s in [&row_path, &elem_path] {
+        assert_eq!(s.max_intra_layer_skew(), batch.max_intra);
+        assert_eq!(s.max_inter_layer_skew(), batch.max_inter);
+        assert_eq!(s.max_global_skew(), batch.max_global);
+        assert_eq!(s.intra().count(), batch.count_intra);
+        assert_eq!(s.intra().mean(), batch.sum_intra / batch.count_intra as f64);
+        // Every pulse counts, the silent one included; only pulses 0, 2
+        // and 3 have intra samples, and only the pair (2, 3) has
+        // inter-layer ones.
+        assert_eq!(s.pulses(), pulses as u64);
+        assert_eq!(s.intra().count(), 3);
+        assert_eq!(s.inter().count(), 1);
+    }
+    assert_eq!(row_path.snapshot(), elem_path.snapshot());
+    // The faulty outlier is excluded: the worst intra pair is the cycle
+    // edge (0, 4) at 16.
+    assert_eq!(batch.max_intra, Duration::from(16.0));
 }

@@ -51,6 +51,13 @@ pub trait Observer {
     /// executor). The time is the *nominal* broadcast time, exactly what
     /// [`crate::PulseTrace::time`] would record; rule misfires (`None`)
     /// are not reported.
+    ///
+    /// Calls arrive in non-decreasing `(k, node.layer)` order, each
+    /// `(k, layer)` group in ascending `v` — the order the default
+    /// [`Observer::on_pulse_row`] unpacks rows in. Observers that fold a
+    /// whole row at a time (`trix-obs`'s `StreamingSkew` and
+    /// `FaultClassSkew`) rely on it: they treat a group as complete once
+    /// the next `(k, layer)` arrives.
     fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
         let _ = (k, node, t);
     }

@@ -492,45 +492,46 @@ impl LayeredGraph {
     /// Layer-0 nodes have no predecessors in `G` (they are driven by the
     /// layer-0 line of Appendix A).
     pub fn predecessors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let items: Vec<(NodeId, EdgeId)> = if n.layer == 0 {
-            Vec::new()
+        let has = n.layer > 0;
+        let neighbors: &[usize] = if has {
+            self.base.neighbors(n.v as usize)
         } else {
-            let mut out = Vec::with_capacity(self.in_degree(n.v as usize));
-            out.push((NodeId::new(n.v, n.layer - 1), self.own_in_edge(n)));
-            for (slot, &x) in self.base.neighbors(n.v as usize).iter().enumerate() {
-                out.push((
+            &[]
+        };
+        let own = has.then(|| (NodeId::new(n.v, n.layer - 1), self.own_in_edge(n)));
+        own.into_iter()
+            .chain(neighbors.iter().enumerate().map(move |(slot, &x)| {
+                (
                     NodeId::new(x as u32, n.layer - 1),
                     self.neighbor_in_edge(n, slot),
-                ));
-            }
-            out
-        };
-        items.into_iter()
+                )
+            }))
     }
 
     /// Successors of a node: `(v, ℓ+1)` first, then `(x, ℓ+1)` for each
     /// sorted neighbor `x`, each paired with the connecting edge.
     pub fn successors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let items: Vec<(NodeId, EdgeId)> = if (n.layer as usize) + 1 >= self.layer_count {
-            Vec::new()
+        let has = (n.layer as usize) + 1 < self.layer_count;
+        let neighbors: &[usize] = if has {
+            self.base.neighbors(n.v as usize)
         } else {
-            let mut out = Vec::with_capacity(self.out_degree(n.v as usize));
-            let own_target = NodeId::new(n.v, n.layer + 1);
-            out.push((own_target, self.own_in_edge(own_target)));
-            for &x in self.base.neighbors(n.v as usize) {
-                let target = NodeId::new(x as u32, n.layer + 1);
-                // Find which slot of the target's block we occupy: n.v's
-                // position among x's sorted neighbors.
-                let slot = self
-                    .base
-                    .neighbors(x)
-                    .binary_search(&(n.v as usize))
-                    .expect("undirected adjacency must be symmetric");
-                out.push((target, self.neighbor_in_edge(target, slot)));
-            }
-            out
+            &[]
         };
-        items.into_iter()
+        let own = has.then(|| {
+            let target = NodeId::new(n.v, n.layer + 1);
+            (target, self.own_in_edge(target))
+        });
+        own.into_iter().chain(neighbors.iter().map(move |&x| {
+            let target = NodeId::new(x as u32, n.layer + 1);
+            // Find which slot of the target's block we occupy: n.v's
+            // position among x's sorted neighbors.
+            let slot = self
+                .base
+                .neighbors(x)
+                .binary_search(&(n.v as usize))
+                .expect("undirected adjacency must be symmetric");
+            (target, self.neighbor_in_edge(target, slot))
+        }))
     }
 }
 

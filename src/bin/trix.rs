@@ -170,6 +170,15 @@ fn cmd_run(args: &Args) {
             let layer = 1 + (2 * i) % (layers - 1);
             model.insert(g.node(v, layer), behavior_for(behavior, p.kappa(), seed));
         }
+        // The spread pattern repeats on small grids; say so rather than
+        // silently run with fewer faults than asked for.
+        let placed = model.faulty_nodes().count();
+        if placed != fault_count {
+            eprintln!(
+                "warning: --faults {fault_count} requested, {placed} placed \
+                 (the spread pattern (3 + 5i, 1 + 2i) repeats on this grid)"
+            );
+        }
     }
     let fault_list: Vec<NodeId> = model.faulty_nodes().collect();
     println!(

@@ -52,3 +52,36 @@ fn valid_run_succeeds() {
     );
     assert!(stdout.contains("Thm 1.1 bound"), "{stdout}");
 }
+
+/// The fault pattern repeats on a small grid: the run still succeeds,
+/// and says how many of the requested faults it placed.
+#[test]
+fn repeated_fault_positions_are_reported() {
+    let out = trix(&[
+        "run", "--width", "4", "--layers", "4", "--pulses", "1", "--faults", "100",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let placed: usize = stdout
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" faults")?.parse().ok())
+        .unwrap_or_else(|| panic!("no fault count in {stdout}"));
+    assert!(placed < 100, "{stdout}");
+    assert!(
+        stderr.contains("--faults 100 requested") && stderr.contains(&format!("{placed} placed")),
+        "{stderr}"
+    );
+
+    // When every requested fault lands on its own position, nothing is
+    // reported.
+    let out = trix(&[
+        "run", "--width", "12", "--layers", "6", "--pulses", "1", "--faults", "2",
+    ]);
+    assert!(out.status.success());
+    assert!(
+        !String::from_utf8_lossy(&out.stderr).contains("requested"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
