@@ -417,7 +417,7 @@ pub fn behaviors(scale: Scale) -> &'static [BehaviorClass] {
 /// The point list of one width: fault-free control, the density ×
 /// behavior grid under iid placement, then one ramp, one wave, and one
 /// clustered-column campaign at the top density.
-fn points_for_width(scale: Scale, width: usize) -> Vec<SweepPoint> {
+pub fn points_for_width(scale: Scale, width: usize) -> Vec<SweepPoint> {
     let pulses = 4;
     let point = |density_centi, behavior, pattern| SweepPoint {
         width,

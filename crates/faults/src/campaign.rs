@@ -34,8 +34,9 @@
 //! adversary is actually doing) is exposed separately via
 //! [`FaultCampaign::active_set`] for the one-locality oracles.
 
+use crate::node_map::NodeMap;
 use crate::FaultBehavior;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use trix_sim::{splitmix64, SendModel};
 use trix_time::Time;
 use trix_topology::{LayeredGraph, NodeId};
@@ -167,7 +168,7 @@ impl FaultSchedule {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultCampaign {
-    schedules: HashMap<NodeId, FaultSchedule>,
+    schedules: NodeMap<FaultSchedule>,
     descriptor: String,
 }
 

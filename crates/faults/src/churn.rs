@@ -29,7 +29,7 @@
 //! streaming monitors already skip — so the skew envelope ranges over
 //! exactly the nodes present at each pulse.
 
-use std::collections::HashMap;
+use crate::node_map::NodeMap;
 use trix_sim::{splitmix64, SendModel};
 use trix_time::Time;
 use trix_topology::{LayeredGraph, NodeId};
@@ -125,7 +125,7 @@ impl ChurnSchedule {
 #[derive(Clone, Debug)]
 pub struct ChurnCampaign {
     default: ChurnSchedule,
-    overrides: HashMap<NodeId, ChurnSchedule>,
+    overrides: NodeMap<ChurnSchedule>,
     seed: u64,
     descriptor: String,
 }

@@ -49,6 +49,7 @@ mod behavior;
 mod campaign;
 mod churn;
 mod des_nodes;
+mod node_map;
 mod placement;
 mod send_model;
 

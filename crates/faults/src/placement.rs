@@ -6,29 +6,70 @@
 //! `|({(v,ℓ)} ∪ {(w,ℓ) : {v,w} ∈ E}) ∩ F| ≤ 1` (no closed in-neighborhood
 //! on a layer contains two faults, hence no node has two faulty
 //! predecessors).
+//!
+//! Both the check and the thinning are **fault-centric**: a closed
+//! neighborhood `N[v]` can only hold a fault `(a, ℓ)` if `v ∈ N[a]`
+//! (base-graph adjacency is symmetric), so only the neighborhoods around
+//! each fault are ever counted. With `Δ` the base graph's maximum degree,
+//! [`is_one_local`] costs `O(|F|·Δ²)` set lookups and [`sample_one_local`]
+//! costs the `O(n)` sampling draws plus `O((|F| + drops)·Δ²)` for the
+//! thinning — never a rescan of the grid. Fault positions outside the
+//! graph (a base index at or beyond the width, or a layer at or beyond the
+//! layer count) lie in no neighborhood and are ignored.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use trix_sim::Rng;
 use trix_topology::{LayeredGraph, NodeId};
+
+/// Whether `n` is a node of `g`.
+fn in_graph(g: &LayeredGraph, n: NodeId) -> bool {
+    (n.v as usize) < g.width() && (n.layer as usize) < g.layer_count()
+}
+
+/// The closed neighborhood `N[v]` in scan order: `v` first, then its
+/// base neighbors in ascending index.
+fn closed_neighborhood(g: &LayeredGraph, v: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::once(v).chain(g.base().neighbors(v).iter().copied())
+}
+
+/// The faults in the closed neighborhood centered at `(layer, v)`, in
+/// scan order.
+fn members<'a>(
+    g: &'a LayeredGraph,
+    faults: &'a HashSet<NodeId>,
+    (layer, v): (u32, usize),
+) -> impl Iterator<Item = NodeId> + 'a {
+    closed_neighborhood(g, v)
+        .map(move |w| NodeId::new(w as u32, layer))
+        .filter(|n| faults.contains(n))
+}
+
+/// The centers `(layer, v)` of the closed neighborhoods that can hold
+/// the fault `a`: `v ∈ N[a]` on `a`'s layer.
+fn centers_around(g: &LayeredGraph, a: NodeId) -> impl Iterator<Item = (u32, usize)> + '_ {
+    closed_neighborhood(g, a.v as usize).map(move |v| (a.layer, v))
+}
+
+/// Whether the closed neighborhood centered at `(layer, v)` holds more
+/// than one fault.
+fn violates(g: &LayeredGraph, faults: &HashSet<NodeId>, center: (u32, usize)) -> bool {
+    members(g, faults, center).nth(1).is_some()
+}
 
 /// Checks the paper's 1-locality condition on a fault set.
 ///
 /// For every layer `ℓ` and base node `v`, at most one element of
 /// `{(v, ℓ)} ∪ {(w, ℓ) : w ∈ N(v)}` is faulty. This implies every node of
 /// layer `ℓ+1` has at most one faulty predecessor.
+///
+/// Only the neighborhoods centered in `N[a]` of each fault `(a, ℓ)` are
+/// counted: `O(|F|·Δ²)` lookups for maximum base degree `Δ`, independent
+/// of the grid size. Faults outside the graph are ignored.
 pub fn is_one_local(g: &LayeredGraph, faults: &HashSet<NodeId>) -> bool {
-    for layer in 0..g.layer_count() {
-        for v in 0..g.width() {
-            let mut count = usize::from(faults.contains(&g.node(v, layer)));
-            for &w in g.base().neighbors(v) {
-                count += usize::from(faults.contains(&g.node(w, layer)));
-                if count > 1 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    faults
+        .iter()
+        .filter(|&&a| in_graph(g, a))
+        .all(|&a| centers_around(g, a).all(|center| !violates(g, faults, center)))
 }
 
 /// Samples each node of layers ≥ `min_layer` independently with
@@ -63,6 +104,10 @@ pub fn sample_iid(g: &LayeredGraph, p: f64, min_layer: usize, rng: &mut Rng) -> 
 /// "most recently sampled" node. Re-running the thinning on the same set
 /// always removes the same nodes.
 ///
+/// The violating neighborhoods are queued once, in scan order, and the
+/// smallest is rechecked after each drop, so the thinning costs
+/// `O((|F| + drops)·Δ²)` lookups on top of the `O(n)` sampling draws.
+///
 /// `min_layer` is enforced by the sampling step and preserved by the
 /// thinning (which only removes nodes), so the returned set never
 /// contains a node below `min_layer`; a `min_layer` at or beyond the
@@ -85,34 +130,24 @@ pub fn sample_one_local(
     rng: &mut Rng,
 ) -> (HashSet<NodeId>, usize) {
     let mut faults = sample_iid(g, p, min_layer, rng);
+    // Every violating neighborhood, keyed in scan order. Dropping a node
+    // never creates a violation, so the smallest queued center that still
+    // violates is the first one a full rescan would find.
+    let mut queue: BTreeSet<(u32, usize)> = faults
+        .iter()
+        .flat_map(|&a| centers_around(g, a))
+        .filter(|&center| violates(g, &faults, center))
+        .collect();
     let mut dropped = 0;
-    loop {
-        let mut offender = None;
-        'scan: for layer in 0..g.layer_count() {
-            for v in 0..g.width() {
-                let mut members = Vec::new();
-                if faults.contains(&g.node(v, layer)) {
-                    members.push(g.node(v, layer));
-                }
-                for &w in g.base().neighbors(v) {
-                    if faults.contains(&g.node(w, layer)) {
-                        members.push(g.node(w, layer));
-                    }
-                }
-                if members.len() > 1 {
-                    offender = Some(members[members.len() - 1]);
-                    break 'scan;
-                }
-            }
-        }
-        match offender {
-            Some(node) => {
-                faults.remove(&node);
-                dropped += 1;
-            }
-            None => return (faults, dropped),
+    while let Some(center) = queue.pop_first() {
+        let held: Vec<NodeId> = members(g, &faults, center).collect();
+        if let [_, .., last] = held[..] {
+            faults.remove(&last);
+            dropped += 1;
+            queue.insert(center);
         }
     }
+    (faults, dropped)
 }
 
 /// The worst-case clustered placement used by the Theorem 1.2 experiments:

@@ -1,8 +1,8 @@
 //! A [`SendModel`] that applies [`FaultBehavior`]s at chosen grid
 //! positions.
 
+use crate::node_map::NodeMap;
 use crate::FaultBehavior;
-use std::collections::HashMap;
 use trix_sim::SendModel;
 use trix_time::Time;
 use trix_topology::NodeId;
@@ -32,7 +32,7 @@ use trix_topology::NodeId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultySendModel {
-    faults: HashMap<NodeId, FaultBehavior>,
+    faults: NodeMap<FaultBehavior>,
 }
 
 impl FaultySendModel {

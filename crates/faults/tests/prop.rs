@@ -2,16 +2,100 @@
 //! campaigns.
 
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use trix_faults::{
-    is_one_local, sample_one_local, ChurnCampaign, ChurnSchedule, FaultBehavior, FaultCampaign,
-    FaultSchedule,
+    is_one_local, sample_iid, sample_one_local, ChurnCampaign, ChurnSchedule, FaultBehavior,
+    FaultCampaign, FaultSchedule, FaultySendModel,
 };
 use trix_sim::{
     run_dataflow_observed, run_dataflow_parallel, Environment, Observer, OffsetLayer0, PulseRule,
-    Rng, SequenceEnvironment, StaticEnvironment,
+    Rng, SendModel, SequenceEnvironment, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
-use trix_topology::{BaseGraph, LayeredGraph, NodeId};
+use trix_topology::{families, BaseGraph, LayeredGraph, NodeId};
+
+/// Reference oracle: the full-grid 1-locality scan — every layer, every
+/// closed neighborhood, counted from scratch.
+fn one_local_by_scan(g: &LayeredGraph, faults: &HashSet<NodeId>) -> bool {
+    for layer in 0..g.layer_count() {
+        for v in 0..g.width() {
+            let mut count = usize::from(faults.contains(&g.node(v, layer)));
+            for &w in g.base().neighbors(v) {
+                count += usize::from(faults.contains(&g.node(w, layer)));
+                if count > 1 {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Reference oracle: the rescanning thinning — scan every neighborhood in
+/// `(layer, v)` order, drop the last member of the first violating one,
+/// start over.
+fn thin_by_rescan(g: &LayeredGraph, mut faults: HashSet<NodeId>) -> (HashSet<NodeId>, usize) {
+    let mut dropped = 0;
+    loop {
+        let mut offender = None;
+        'scan: for layer in 0..g.layer_count() {
+            for v in 0..g.width() {
+                let mut members = Vec::new();
+                if faults.contains(&g.node(v, layer)) {
+                    members.push(g.node(v, layer));
+                }
+                for &w in g.base().neighbors(v) {
+                    if faults.contains(&g.node(w, layer)) {
+                        members.push(g.node(w, layer));
+                    }
+                }
+                if members.len() > 1 {
+                    offender = Some(members[members.len() - 1]);
+                    break 'scan;
+                }
+            }
+        }
+        match offender {
+            Some(node) => {
+                faults.remove(&node);
+                dropped += 1;
+            }
+            None => return (faults, dropped),
+        }
+    }
+}
+
+/// One graph per family the placement code must handle: a line grid, a
+/// torus, a hypercube, a supernode overlay, and the one-wide degenerate
+/// grid. `size` in `0..4` scales each family.
+fn family_graph(family: usize, size: usize, layers: usize) -> LayeredGraph {
+    let base = match family % 5 {
+        0 => BaseGraph::line_with_replicated_ends(3 + 3 * size),
+        1 => families::torus(3 + size, 3 + 2 * size).into_graph(),
+        2 => families::hypercube(2 + size as u32).into_graph(),
+        3 => families::supernode_overlay(3 + size, 1 + size).into_graph(),
+        _ => BaseGraph::from_edges(1, &[]),
+    };
+    LayeredGraph::new(base, layers)
+}
+
+/// A random fault set on `g` at the given density, plus up to `outside`
+/// positions off the graph (beyond the width, the layer count, or both).
+fn random_fault_set(g: &LayeredGraph, density: f64, outside: usize, seed: u64) -> HashSet<NodeId> {
+    let mut rng = Rng::seed_from(seed);
+    let mut faults = sample_iid(g, density, 0, &mut rng);
+    for i in 0..outside {
+        let v = rng.usize_below(g.width() + 3) as u32;
+        let layer = rng.usize_below(g.layer_count() + 3) as u32;
+        let (v, layer) = match i % 3 {
+            0 => (g.width() as u32 + v, layer),
+            1 => (v, g.layer_count() as u32 + layer),
+            _ => (g.width() as u32 + v, g.layer_count() as u32 + layer),
+        };
+        faults.insert(NodeId::new(v, layer));
+    }
+    faults
+}
 
 /// Fires at `max(arrivals) + rate` (mirrors `crates/sim/tests/prop.rs`).
 struct MaxPlus;
@@ -126,6 +210,173 @@ fn random_churn_campaign(
 }
 
 proptest! {
+    /// The fault-centric 1-locality check answers exactly as the
+    /// full-grid scan, on every graph family, at densities up to 0.5,
+    /// with positions outside the graph mixed in (both ignore them).
+    #[test]
+    fn one_local_check_matches_the_full_scan(
+        seed in any::<u64>(),
+        family in 0usize..5,
+        size in 0usize..4,
+        layers in 1usize..8,
+        density in 0.0f64..0.5,
+        outside in 0usize..4,
+    ) {
+        let g = family_graph(family, size, layers);
+        let faults = random_fault_set(&g, density, outside, seed);
+        prop_assert_eq!(is_one_local(&g, &faults), one_local_by_scan(&g, &faults));
+        // Sparse subsets exercise the 1-local side of the predicate.
+        let sparse: HashSet<NodeId> = faults.iter().copied().step_by(5).collect();
+        prop_assert_eq!(is_one_local(&g, &sparse), one_local_by_scan(&g, &sparse));
+    }
+
+    /// The queued thinning returns the same set and the same drop count
+    /// as the rescanning thinning for the same sample, on every graph
+    /// family, at densities up to 0.5 and any `min_layer`.
+    #[test]
+    fn thinning_matches_the_rescan(
+        seed in any::<u64>(),
+        family in 0usize..5,
+        size in 0usize..4,
+        layers in 1usize..8,
+        density in 0.0f64..0.5,
+        min_layer in 0usize..3,
+    ) {
+        let g = family_graph(family, size, layers);
+        let got = sample_one_local(&g, density, min_layer, &mut Rng::seed_from(seed));
+        let sample = sample_iid(&g, density, min_layer, &mut Rng::seed_from(seed));
+        let want = thin_by_rescan(&g, sample);
+        prop_assert_eq!(&got, &want);
+        prop_assert!(one_local_by_scan(&g, &got.0));
+    }
+
+    /// The send models' per-node maps behave as a plain std `HashMap`
+    /// under random `from_schedules`, `from_faults` and `insert`
+    /// sequences with repeated positions ("last wins"): `send_time`,
+    /// `is_faulty`, `schedule`, `fault_count`, `faulty_nodes`,
+    /// `active_set` and `ChurnCampaign::is_member` all agree with the
+    /// model.
+    #[test]
+    fn node_maps_match_a_std_hashmap_model(
+        seed in any::<u64>(),
+        initial in 0usize..24,
+        inserts in 0usize..24,
+        pulses in 1usize..5,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        // A small position range forces duplicates and replacements.
+        let position = |rng: &mut Rng| {
+            NodeId::new(rng.usize_below(5) as u32, rng.usize_below(4) as u32)
+        };
+        let behavior = |rng: &mut Rng| match rng.usize_below(3) {
+            0 => FaultBehavior::Silent,
+            1 => FaultBehavior::Shift(Duration::from(rng.f64_in(-5.0, 5.0))),
+            _ => FaultBehavior::Jitter {
+                amplitude: Duration::from(1.0),
+                seed: rng.next_u64(),
+            },
+        };
+        let schedule = |rng: &mut Rng| match rng.usize_below(4) {
+            0 => FaultSchedule::Always(behavior(rng)),
+            1 => FaultSchedule::Window {
+                from: rng.usize_below(pulses),
+                until: rng.usize_below(pulses + 1),
+                behavior: behavior(rng),
+            },
+            2 => FaultSchedule::CrashRecover {
+                down_from: rng.usize_below(pulses),
+                down_until: rng.usize_below(pulses + 1),
+            },
+            _ => FaultSchedule::Flaky {
+                behavior: behavior(rng),
+                activity: 0.5,
+                seed: rng.next_u64(),
+            },
+        };
+        let churn = |rng: &mut Rng| match rng.usize_below(4) {
+            0 => ChurnSchedule::JoinAt { pulse: rng.usize_below(pulses) },
+            1 => ChurnSchedule::LeaveAt { pulse: rng.usize_below(pulses) },
+            2 => ChurnSchedule::Rejoin { leave: 1, rejoin: 1 + rng.usize_below(pulses) },
+            _ => ChurnSchedule::Flicker { rate: 0.5 },
+        };
+
+        let first: Vec<(NodeId, FaultSchedule)> =
+            (0..initial).map(|_| (position(&mut rng), schedule(&mut rng))).collect();
+        let mut campaign = FaultCampaign::from_schedules(first.clone());
+        let mut campaign_model: HashMap<NodeId, FaultSchedule> = first.into_iter().collect();
+        let first: Vec<(NodeId, FaultBehavior)> =
+            (0..initial).map(|_| (position(&mut rng), behavior(&mut rng))).collect();
+        let mut model = FaultySendModel::from_faults(first.clone());
+        let mut model_model: HashMap<NodeId, FaultBehavior> = first.into_iter().collect();
+        let first: Vec<(NodeId, ChurnSchedule)> =
+            (0..initial).map(|_| (position(&mut rng), churn(&mut rng))).collect();
+        let churn_seed = rng.next_u64();
+        let mut churned = ChurnCampaign::from_schedules(
+            ChurnSchedule::Flicker { rate: 0.25 },
+            churn_seed,
+            first.clone(),
+        );
+        let mut churn_model: HashMap<NodeId, ChurnSchedule> = first.into_iter().collect();
+        for _ in 0..inserts {
+            let (n, s) = (position(&mut rng), schedule(&mut rng));
+            campaign.insert(n, s.clone());
+            campaign_model.insert(n, s);
+            let (n, b) = (position(&mut rng), behavior(&mut rng));
+            model.insert(n, b.clone());
+            model_model.insert(n, b);
+            let (n, c) = (position(&mut rng), churn(&mut rng));
+            churned.insert(n, c.clone());
+            churn_model.insert(n, c);
+        }
+
+        prop_assert_eq!(campaign.fault_count(), campaign_model.len());
+        prop_assert_eq!(model.fault_count(), model_model.len());
+        prop_assert_eq!(churned.override_count(), churn_model.len());
+        let mut keys: Vec<NodeId> = campaign_model.keys().copied().collect();
+        keys.sort();
+        prop_assert_eq!(campaign.faulty_nodes(), keys);
+        let mut keys: Vec<NodeId> = model.faulty_nodes().collect();
+        keys.sort();
+        let mut want: Vec<NodeId> = model_model.keys().copied().collect();
+        want.sort();
+        prop_assert_eq!(keys, want);
+        for k in 0..pulses {
+            let active: HashSet<NodeId> = campaign_model
+                .iter()
+                .filter(|(n, s)| s.is_active(**n, k))
+                .map(|(n, _)| *n)
+                .collect();
+            prop_assert_eq!(campaign.active_set(k), active);
+        }
+        let nominal = Some(Time::from(100.0));
+        for v in 0..6u32 {
+            for layer in 0..5u32 {
+                let n = NodeId::new(v, layer);
+                let target = NodeId::new(v, layer + 1);
+                prop_assert_eq!(campaign.schedule(n), campaign_model.get(&n));
+                prop_assert_eq!(campaign.is_faulty(n), campaign_model.contains_key(&n));
+                prop_assert_eq!(model.is_faulty(n), model_model.contains_key(&n));
+                let default = ChurnSchedule::Flicker { rate: 0.25 };
+                let churn_schedule = churn_model.get(&n).unwrap_or(&default);
+                prop_assert_eq!(churned.schedule(n), churn_schedule);
+                for k in 0..pulses {
+                    let want = campaign_model
+                        .get(&n)
+                        .map_or(nominal, |s| s.send_time(n, k, nominal, target));
+                    prop_assert_eq!(campaign.send_time(n, k, nominal, target), want);
+                    let want = model_model
+                        .get(&n)
+                        .map_or(nominal, |b| b.send_time(n, k, nominal, target));
+                    prop_assert_eq!(model.send_time(n, k, nominal, target), want);
+                    prop_assert_eq!(
+                        churned.is_member(n, k),
+                        churn_schedule.is_member(n, k, churn_seed)
+                    );
+                }
+            }
+        }
+    }
+
     /// `sample_one_local` always returns 1-local sets, at any density.
     #[test]
     fn sampled_sets_are_one_local(

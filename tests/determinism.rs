@@ -319,3 +319,52 @@ fn different_seeds_differ() {
     let differs = g.nodes().any(|n| a.time(0, n) != b.time(0, n));
     assert!(differs, "different seeds must yield different executions");
 }
+
+/// Placement regression: the fault positions every `exp_fault_sweep`
+/// full-scale point builds at width 64 (four derived seeds each), their
+/// `max_concurrent`, and `sample_one_local` at densities that force
+/// thinning on a torus (sorted positions and drop counts), folded into
+/// one FNV-1a fingerprint. The value was recorded from the full-grid
+/// rescanning implementation of the 1-locality check and the thinning,
+/// so any change to what the placement code returns shows up here.
+#[test]
+fn fault_placements_match_the_recorded_fingerprint() {
+    use gradient_trix::faults::sample_one_local;
+    use gradient_trix::topology::{families, NodeId};
+    use trix_bench::{exp_fault_sweep, Scale};
+
+    fn mix_positions(h: &mut u64, positions: impl IntoIterator<Item = NodeId>) {
+        let mut sorted: Vec<NodeId> = positions.into_iter().collect();
+        sorted.sort();
+        mix(h, sorted.len() as u64);
+        for n in sorted {
+            mix(h, (u64::from(n.layer) << 32) | u64::from(n.v));
+        }
+    }
+
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let points = exp_fault_sweep::points_for_width(Scale::Full, 64);
+    let g = trix_bench::common::grid(64, 64);
+    for (i, point) in points.iter().enumerate() {
+        for seed in trix_runner::scenario_seeds(0, "exp_fault_sweep", i as u64, 4) {
+            let campaign = exp_fault_sweep::campaign_for(&g, point, seed);
+            mix_positions(&mut h, campaign.faulty_nodes());
+            mix(&mut h, campaign.max_concurrent(point.pulses) as u64);
+        }
+    }
+    let torus = LayeredGraph::new(families::torus(12, 12).into_graph(), 10);
+    let mut drops = 0;
+    for p in [0.05, 0.15, 0.3, 0.5] {
+        for seed in 0..4 {
+            let (faults, dropped) = sample_one_local(&torus, p, 1, &mut Rng::seed_from(seed));
+            mix_positions(&mut h, faults);
+            mix(&mut h, dropped as u64);
+            drops += dropped;
+        }
+    }
+    assert!(drops > 0, "the torus densities must force thinning");
+    assert_eq!(
+        h, 0xc36a_a783_abe6_8f24,
+        "fault placements changed: fingerprint {h:#018x}"
+    );
+}
