@@ -30,11 +30,10 @@ pub struct ModeSummary {
     pub sigma: f64,
     /// `σ² / Σσ²` — fraction of the *captured* energy in this mode.
     pub energy_fraction: f64,
-    /// Base-graph column where the mode's amplitude peaks (absolute
-    /// column index, i.e. offset by the sketch's `col_start`).
+    /// Base-graph column where the mode's amplitude peaks.
     pub origin_col: usize,
     /// Amplitude-weighted center of mass of the mode over columns
-    /// (`Σ v·u(v)² / Σ u(v)²`, absolute column units).
+    /// (`Σ v·u(v)² / Σ u(v)²`, in column units).
     pub origin_centroid: f64,
     /// Least-squares slope of the mode's layer-energy centroid across
     /// pulses, in layers per pulse; `None` if fewer than two pulses
@@ -62,7 +61,7 @@ pub struct ModeReport {
 /// engines stream deterministically, so re-running the workload
 /// reproduces the stream bit-for-bit), then call
 /// [`ModeProbe::into_report`]. Row assembly matches the sketch exactly:
-/// one row per `(k, layer)` front with at least one in-range emission,
+/// one row per `(k, layer)` front with at least one emission,
 /// zero-filled at misfires.
 #[derive(Clone, Debug)]
 pub struct ModeProbe {
@@ -144,7 +143,7 @@ impl ModeProbe {
                     if x.abs() > u[best].abs() {
                         best = v;
                     }
-                    centroid_num += (self.snap.col_start + v) as f64 * x * x;
+                    centroid_num += v as f64 * x * x;
                     centroid_den += x * x;
                 }
                 // Centroid of ℓ̂_j(k) per pulse, then a least-squares
@@ -177,11 +176,11 @@ impl ModeProbe {
                     } else {
                         0.0
                     },
-                    origin_col: self.snap.col_start + best,
+                    origin_col: best,
                     origin_centroid: if centroid_den > 0.0 {
                         centroid_num / centroid_den
                     } else {
-                        self.snap.col_start as f64
+                        0.0
                     },
                     velocity,
                 }
@@ -198,16 +197,12 @@ impl ModeProbe {
 impl Observer for ModeProbe {
     #[inline]
     fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        let v = node.v as usize;
-        if v < self.snap.col_start || v >= self.snap.col_start + self.snap.cols {
-            return;
-        }
         let key = (k, node.layer);
         if self.cur != Some(key) {
             self.flush_row();
             self.cur = Some(key);
         }
-        self.row[v - self.snap.col_start] = t.as_f64();
+        self.row[node.v as usize] = t.as_f64();
     }
 }
 

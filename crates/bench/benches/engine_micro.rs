@@ -178,8 +178,8 @@ fn bench_observer_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// POD-sketch overhead on both engine hot loops (ISSUE: target < 10%
-/// over the no-op observer at rank 16).
+/// POD-sketch overhead on the dataflow hot loop (target < 10% over the
+/// no-op observer at rank 16).
 ///
 /// * `dataflow_noop` — `run_dataflow_observed` with [`NullObserver`]
 ///   (the baseline the sketch rides on), on the width-192 square grid
@@ -189,9 +189,6 @@ fn bench_observer_overhead(c: &mut Criterion) {
 /// * `dataflow_sketch_r{4,16}` — the same loop streaming into a
 ///   [`PodSketch`] at rank 4 / 16, `finish`ed so deferred flush work is
 ///   charged to the measurement;
-/// * `des_noop` / `des_sketch_r{4,16}` — the DES engine's
-///   `run_observed` with the same observer pair
-///   ([`PodSketch::for_des_grid`] over the broadcast stream);
 /// * `ingest_w1280_r{4,16}` — the paper-scale-width proxy: driving the
 ///   full 1280×1280 dataflow is too heavy for a micro harness, so this
 ///   row isolates the sketch's own per-row cost — the quantity the
@@ -242,38 +239,6 @@ fn bench_sketch_overhead(c: &mut Criterion) {
                 sketch.finish();
                 black_box(sketch.snapshot().rows)
             })
-        });
-    }
-
-    let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(6), 6);
-    let build = || {
-        let mut rng = Rng::seed_from(7);
-        let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        GridNetwork::build(&g, &p, &env, cfg, 10, &mut rng, |_, _| None)
-    };
-    group.bench_function("des_noop", |b| {
-        b.iter_batched(
-            build,
-            |mut net| {
-                net.run_observed(Time::from(1e9), &mut NullObserver);
-                black_box(net.des.events_processed())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    for rank in [4usize, 16] {
-        group.bench_function(&format!("des_sketch_r{rank}"), |b| {
-            b.iter_batched(
-                build,
-                |mut net| {
-                    let mut sketch = PodSketch::for_des_grid(&g, 1, rank);
-                    net.run_observed(Time::from(1e9), &mut sketch);
-                    sketch.finish();
-                    black_box((net.des.events_processed(), sketch.snapshot().rows))
-                },
-                BatchSize::SmallInput,
-            )
         });
     }
 

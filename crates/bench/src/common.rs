@@ -320,37 +320,13 @@ pub fn streaming_scenarios(
 /// layer at the split boundary.
 pub fn split_delay_env(g: &LayeredGraph, params: &Params, split: usize) -> StaticEnvironment {
     let d = params.d();
-    let u = params.u();
-    StaticEnvironment::from_fn(
-        g,
-        |_e| d, // overwritten below for fast columns
-        |_n| trix_time::AffineClock::PERFECT,
-    )
-    .tap_set_fast_half(g, d - u, split)
-}
-
-/// Extension helper for [`split_delay_env`].
-trait TapSetFastHalf {
-    fn tap_set_fast_half(self, g: &LayeredGraph, fast: Duration, split: usize)
-        -> StaticEnvironment;
-}
-
-impl TapSetFastHalf for StaticEnvironment {
-    fn tap_set_fast_half(
-        mut self,
-        g: &LayeredGraph,
-        fast: Duration,
-        split: usize,
-    ) -> StaticEnvironment {
-        for n in g.nodes().filter(|n| n.layer > 0) {
-            if (n.v as usize) < split {
-                for (_, e) in g.predecessors(n) {
-                    self.set_delay(e, fast);
-                }
-            }
+    let mut env = StaticEnvironment::from_fn(g, |_e| d, |_n| trix_time::AffineClock::PERFECT);
+    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
+        for (_, e) in g.predecessors(n) {
+            env.set_delay(e, d - params.u());
         }
-        self
     }
+    env
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ pub mod exp_thm16;
 pub mod exp_topology;
 
 use suite::{Scenario, SuiteOutcome};
-use trix_analysis::Table;
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -293,12 +292,6 @@ pub fn run_suite(
         base_seed,
         threads,
     )
-}
-
-/// Runs every experiment serially and returns the tables in presentation
-/// order (compatibility entry point; seeds derive from base seed 0).
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    run_suite(scale, 0, 1, TraceMode::Full, 1).tables
 }
 
 #[cfg(test)]

@@ -119,19 +119,6 @@ impl GradientTrixRule {
         }
     }
 
-    /// Sets the skew estimate `L̂` used by the neighbor deadline
-    /// `term2 = max(H_own, H_min) + ϑ(2·L̂ + u) + 2κ`. A tighter estimate
-    /// makes nodes give up on silent faulty neighbors sooner.
-    #[must_use]
-    pub fn with_skew_estimate(mut self, skew_estimate: Duration) -> Self {
-        assert!(
-            skew_estimate > Duration::ZERO,
-            "skew estimate must be positive"
-        );
-        self.skew_estimate = skew_estimate;
-        self
-    }
-
     /// The parameters in use.
     pub fn params(&self) -> &Params {
         &self.params

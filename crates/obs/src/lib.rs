@@ -24,7 +24,7 @@
 //!   violations in runs too large (or too long) to trace.
 //! * [`PodSketch`] — a rank-`r` incremental SVD/POD sketch of the
 //!   pulse-front matrix in `O(width × r)` memory, with a **certified**
-//!   Frobenius reconstruction-error bound and column-range `merge`; its
+//!   Frobenius reconstruction-error bound; its
 //!   [`PodSnapshot`] (basis + spectrum + certificate) is the compressed
 //!   trace artifact benchmark records ship (since schema v7).
 //! * [`FaultClassSkew`] — intra-layer skew partitioned by the

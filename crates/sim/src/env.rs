@@ -115,11 +115,6 @@ impl StaticEnvironment {
         self.delays[e.0] = delay;
     }
 
-    /// Overwrites the clock of one node.
-    pub fn set_clock(&mut self, node_index: usize, clock: AffineClock) {
-        self.clocks[node_index] = clock;
-    }
-
     /// The per-edge delays.
     pub fn delays(&self) -> &[Duration] {
         &self.delays

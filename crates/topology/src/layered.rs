@@ -435,13 +435,6 @@ impl LayeredGraph {
         1 + self.base.degree(w)
     }
 
-    /// Out-degree of the copies of base node `v` on non-final layers:
-    /// `1 + deg_H(v)`.
-    #[inline]
-    pub fn out_degree(&self, v: usize) -> usize {
-        1 + self.base.degree(v)
-    }
-
     /// The edge from `(w, ℓ-1)` to `(w, ℓ)` ("own" edge, slot 0 of the
     /// target's in-edge block).
     ///

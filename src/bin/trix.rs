@@ -1,14 +1,15 @@
 //! `trix` — scenario runner for the Gradient TRIX reproduction.
 //!
 //! ```text
-//! trix run        --width 32 --layers 32 --pulses 4 --seed 1 [--faults 3]
-//!                 [--behavior silent|late|early|jitter|two-faced]
-//!                 [--adversarial] [--chart]
+//! trix run        --width 32 --layers 32 --pulses 4 --seed 1
+//!                 [--faults 3 [--behavior silent|late|early|jitter|two-faced]
+//!                  | --p-fail 0.01] [--adversarial] [--chart]
 //! trix stabilize  --width 6 --seed 1 [--spurious 40] [--dead 1]
 //! trix compare    --width 32
 //! ```
 //!
-//! Everything is deterministic in `--seed`.
+//! Everything is deterministic in `--seed`. A flag the command does not
+//! read, a switch given a value, or a bad value exits 2 with a message.
 
 use gradient_trix::analysis::{
     ascii_chart, full_local_skew, global_skew, max_intra_layer_skew, skew_by_layer, theory,
@@ -19,24 +20,38 @@ use gradient_trix::core::{
 };
 use gradient_trix::faults::{sample_one_local, scrambled_network, FaultBehavior, FaultySendModel};
 use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
-use gradient_trix::time::{Duration, Time};
-use gradient_trix::topology::{BaseGraph, EdgeId, LayeredGraph, NodeId};
+use gradient_trix::time::{AffineClock, Duration, Time};
+use gradient_trix::topology::{BaseGraph, LayeredGraph, NodeId};
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Self {
+    /// Parses the flags of `trix <cmd>`, which reads the flags in
+    /// `values` (each followed by a value) and the switches in
+    /// `switches` (never followed by one). Anything else exits 2.
+    fn parse(cmd: &str, raw: &[String], values: &[&str], switches: &[&str]) -> Self {
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
-            let key = raw[i].trim_start_matches("--").to_owned();
+            let Some(key) = raw[i].strip_prefix("--") else {
+                usage_error(&format!(
+                    "unexpected argument '{}' for `trix {cmd}`",
+                    raw[i]
+                ));
+            };
             let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-            if value.is_some() {
+            if switches.contains(&key) {
+                if let Some(v) = value {
+                    usage_error(&format!("--{key} takes no value (got '{v}')"));
+                }
+            } else if !values.contains(&key) {
+                usage_error(&format!("unknown flag --{key} for `trix {cmd}`"));
+            } else if value.is_some() {
                 i += 1;
             }
-            flags.push((key, value));
+            flags.push((key.to_owned(), value));
             i += 1;
         }
         Self { flags }
@@ -127,21 +142,7 @@ fn cmd_run(args: &Args) {
 
     let mut rng = Rng::seed_from(seed);
     let env = if args.has("adversarial") {
-        // Half-fast/half-slow split (the Figure 1 pattern).
-        let split = g.width() / 2;
-        let mut delays = vec![p.d(); g.edge_count()];
-        for n in g.nodes().filter(|n| n.layer > 0) {
-            if (n.v as usize) < split {
-                for (_, EdgeId(e)) in g.predecessors(n) {
-                    delays[e] = p.d() - p.u();
-                }
-            }
-        }
-        StaticEnvironment::new(
-            &g,
-            delays,
-            vec![gradient_trix::time::AffineClock::PERFECT; g.node_count()],
-        )
+        split_delay_env(&g, &p)
     } else {
         StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng)
     };
@@ -164,7 +165,8 @@ fn cmd_run(args: &Args) {
             model.insert(n, behavior_for(name, p.kappa(), seed));
         }
     } else {
-        let behavior = args.get("behavior").unwrap_or("silent");
+        let behavior = args.opt::<String>("behavior");
+        let behavior = behavior.as_deref().unwrap_or("silent");
         for i in 0..fault_count {
             let v = (3 + 5 * i) % g.width();
             let layer = 1 + (2 * i) % (layers - 1);
@@ -300,24 +302,25 @@ fn cmd_compare(args: &Args) {
     println!("{table}");
 }
 
+/// The half-fast/half-slow split of Figure 1: in-edges of the left half
+/// of the columns get `d − u`, the rest `d`; perfect clocks. Built
+/// locally to avoid a dependency on trix-bench.
+fn split_delay_env(g: &LayeredGraph, p: &Params) -> StaticEnvironment {
+    let split = g.width() / 2;
+    let mut env = StaticEnvironment::from_fn(g, |_e| p.d(), |_n| AffineClock::PERFECT);
+    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
+        for (_, e) in g.predecessors(n) {
+            env.set_delay(e, p.d() - p.u());
+        }
+    }
+    env
+}
+
 /// Re-derives the comparison locally to avoid a dependency on trix-bench.
 fn trix_bench_table(width: usize) -> String {
     let p = params();
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), width);
-    let split = g.width() / 2;
-    let mut delays = vec![p.d(); g.edge_count()];
-    for n in g.nodes().filter(|n| n.layer > 0) {
-        if (n.v as usize) < split {
-            for (_, EdgeId(e)) in g.predecessors(n) {
-                delays[e] = p.d() - p.u();
-            }
-        }
-    }
-    let env = StaticEnvironment::new(
-        &g,
-        delays,
-        vec![gradient_trix::time::AffineClock::PERFECT; g.node_count()],
-    );
+    let env = split_delay_env(&g, &p);
     let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
     let naive = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);
     let gt = run_dataflow(
@@ -343,11 +346,16 @@ fn main() {
     let Some(cmd) = raw.first().map(String::as_str) else {
         usage_error("no command (usage: trix <run|stabilize|compare> [flags], see source header)");
     };
-    let args = Args::parse(&raw[1..]);
+    let args = |values: &[&str], switches: &[&str]| Args::parse(cmd, &raw[1..], values, switches);
     match cmd {
-        "run" => cmd_run(&args),
-        "stabilize" => cmd_stabilize(&args),
-        "compare" => cmd_compare(&args),
+        "run" => cmd_run(&args(
+            &[
+                "width", "layers", "pulses", "seed", "faults", "behavior", "p-fail",
+            ],
+            &["adversarial", "chart"],
+        )),
+        "stabilize" => cmd_stabilize(&args(&["width", "seed", "spurious", "dead"], &[])),
+        "compare" => cmd_compare(&args(&["width"], &[])),
         other => usage_error(&format!(
             "unknown command '{other}' (run|stabilize|compare)"
         )),

@@ -40,6 +40,29 @@ fn zero_pulses_is_rejected() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_by_every_command() {
+    assert_rejected(&["run", "--widht", "6"], "--widht");
+    assert_rejected(&["compare", "--wdth", "4"], "--wdth");
+    assert_rejected(&["stabilize", "--layers", "4"], "--layers");
+    assert_rejected(&["compare", "--chart"], "--chart");
+    assert_rejected(&["run", "6"], "'6'");
+}
+
+#[test]
+fn switch_given_a_value_is_rejected() {
+    assert_rejected(
+        &["run", "--width", "4", "--adversarial", "5"],
+        "--adversarial",
+    );
+    assert_rejected(&["run", "--width", "4", "--chart", "yes"], "--chart");
+}
+
+#[test]
+fn value_flag_without_a_value_is_rejected() {
+    assert_rejected(&["run", "--faults", "1", "--behavior"], "--behavior");
+}
+
+#[test]
 fn valid_run_succeeds() {
     let out = trix(&[
         "run", "--width", "6", "--layers", "4", "--pulses", "2", "--seed", "1",
@@ -51,6 +74,30 @@ fn valid_run_succeeds() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("Thm 1.1 bound"), "{stdout}");
+
+    // Switches and the other commands' flags still run.
+    let out = trix(&[
+        "run",
+        "--width",
+        "6",
+        "--layers",
+        "4",
+        "--pulses",
+        "1",
+        "--adversarial",
+        "--chart",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = trix(&["compare", "--width", "4"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// The fault pattern repeats on a small grid: the run still succeeds,
